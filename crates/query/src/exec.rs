@@ -66,8 +66,8 @@ pub struct ExecStats {
     pub dict_strings: usize,
     /// Tuples in the state's columnar store, across all relations.
     pub stored_rows: usize,
-    /// Worker threads the physical executor may fan out on (1 means the
-    /// fully sequential path ran).
+    /// Worker threads the physical executor may fan out on (1 means
+    /// every operator ran inline, its whole input one morsel).
     pub threads: usize,
     /// Rows per morsel in the parallel executor's schedule.
     pub morsel_rows: usize,
@@ -316,7 +316,7 @@ impl Executor {
             match &planned.plan {
                 QueryPlan::Algebra { optimized, .. } => {
                     // The morsel fan-out self-disables on a 1-thread engine,
-                    // so this is exactly the sequential path by default.
+                    // which runs every operator inline as one morsel.
                     let report = PhysicalPlan::compile(optimized).execute_with_stats_on(
                         state,
                         &self.engine,
@@ -325,7 +325,7 @@ impl Executor {
                         },
                     );
                     operators = report.operators;
-                    let rel = report.relation.reorder(&vars);
+                    let rel = report.relation.into_order(&vars);
                     (rel.tuples.into_iter().collect(), Completeness::Certified)
                 }
                 QueryPlan::Ranf {
@@ -361,7 +361,7 @@ impl Executor {
                         .collect();
                     let rows: Vec<_> = gen_report
                         .relation
-                        .reorder(&vars)
+                        .into_order(&vars)
                         .tuples
                         .into_iter()
                         .collect();

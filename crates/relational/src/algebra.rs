@@ -36,6 +36,16 @@ impl Relation {
             .unwrap_or_else(|| panic!("attribute `{attr}` not in {:?}", self.attrs))
     }
 
+    /// [`Relation::reorder`] by value: the tuples move unchanged when the
+    /// columns are already in `attrs` order and are permuted otherwise.
+    pub fn into_order(self, attrs: &[String]) -> Relation {
+        if self.attrs == attrs {
+            self
+        } else {
+            self.reorder(attrs)
+        }
+    }
+
     /// Reorder columns to the given attribute order.
     pub fn reorder(&self, attrs: &[String]) -> Relation {
         let idx: Vec<usize> = attrs.iter().map(|a| self.col(a)).collect();

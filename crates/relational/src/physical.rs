@@ -3,58 +3,64 @@
 //! [`PhysicalPlan::compile`] lowers an [`AlgebraExpr`] into operators
 //! whose attribute references are resolved to column indexes once, at
 //! compile time. Execution works on columnar word streams — flat,
-//! arity-strided `Vec<Val>` buffers fed directly from the [`State`]'s
-//! dictionary-encoded store:
+//! arity-strided [`Val`] buffers fed directly from the [`State`]'s
+//! dictionary-encoded store. Lowering drops the work the logical plan
+//! only spells out:
 //!
-//! * **hash join** — build a hash table keyed on bare `u64` words (a
-//!   single-word fast path for one-column keys) over the smaller input
-//!   and probe with the larger, with no per-probe allocation or string
-//!   hashing;
-//! * **streaming select/project/extend** — no intermediate
-//!   materialization; duplicates are eliminated only where they can
-//!   arise (narrowing projections and unions), so every stream stays
-//!   duplicate-free and operator row counts equal logical cardinalities;
-//! * **zero-copy memoized base scans** — a scan *borrows* the
-//!   relation's flat columnar store (copy-on-write streams), so even a
-//!   million-row string relation enters the plan without copying a
-//!   word, and a relation referenced twice resolves to the same
-//!   borrowed stream. String join keys need no extra fast path: strings
-//!   are interned to one-word ids, so the single-`u64` key path below
-//!   covers them at the same cost as naturals.
+//! * **rename folding** — every chain of projections and extends (the
+//!   Codd translation renames each atom's positional columns to its
+//!   variables that way) resolves to one column map over the chain's
+//!   input. An identity map is no operator at all, so a renamed base
+//!   scan stays a zero-copy borrow of the stored relation; a map that
+//!   keeps every input column gathers without dedup (a duplicate-free
+//!   input gives a duplicate-free output); only a map that drops a
+//!   column dedups.
+//! * **hash anti-join** — `E − π(E ⋈ N)` with `attrs(N) ⊆ attrs(E)`, the
+//!   shape `E ∧ ¬N` compiles to, evaluates `E` once and keeps, in order,
+//!   the `E` rows whose key is absent from `N`; `E ⋈ N` is never built.
 //!
-//! Plans are state-independent, so plan constants stay as [`Value`]s and
-//! are encoded per execution through an [`OverlayDict`] (query constants
-//! need not exist in the state's dictionary). The final result decodes
-//! into the same `BTreeSet`-backed [`Relation`] the naive
-//! [`AlgebraExpr::eval`] produces, so the two backends are bit-identical
-//! (attribute order included).
+//! Every hash table — join build, anti-join and diff, union, narrowing
+//! dedup — is keyed on borrowed slices of flat word buffers, with each
+//! key's Fx hash computed once. A key made of a contiguous run of
+//! columns borrows the rows in place; any other key is gathered once
+//! into one flat buffer. A join build chains each key's rows in build
+//! order through one index array, so no table allocates per row or per
+//! key. Strings are interned to one-word ids, so string keys cost what
+//! naturals do.
 //!
-//! # Morsel-driven parallelism
+//! Base scans *borrow* the relation's store (copy-on-write streams) and
+//! are memoized per execution. Plans are state-independent, so plan
+//! constants stay as [`Value`]s and are encoded per execution through an
+//! [`OverlayDict`] (query constants need not exist in the state's
+//! dictionary). The final result decodes into the same `BTreeSet`-backed
+//! [`Relation`] the naive [`AlgebraExpr::eval`] produces, so the two
+//! backends are bit-identical (attribute order included).
 //!
-//! [`PhysicalPlan::execute_on`] runs the same operators data-parallel on
-//! an [`Engine`]'s worker pool. Inputs are split into fixed-size
-//! **morsels** — contiguous row ranges of the flat buffer, boundaries
-//! aligned to arity strides — and each streaming operator (filter,
-//! project, extend, diff/union probe, join probe) maps its morsels on
-//! the pool and stitches the partial outputs back **in morsel order**,
-//! so the concatenation is exactly the sequential left-to-right scan.
-//! Hash joins parallelize both sides: the build scan is **partitioned**
-//! (each worker owns one shard of the Fx-hashed key space and keeps the
-//! build rows hashing into it, so per-key row lists stay in build-input
-//! order), and probe morsels consult the one shard their key hashes to.
-//! Dedup operators dedup locally per morsel (keeping each morsel's first
-//! occurrences) and re-filter once sequentially during the stitch, which
-//! reproduces the global first-occurrence order. Parallel output is
-//! therefore **bit-identical** to the sequential path at every thread
-//! count and morsel size — parallelism is purely a performance knob.
+//! # Morsels
+//!
+//! Each operator is written once, as the body that processes one
+//! **morsel**: a contiguous, stride-aligned row range of its input. When
+//! [`PhysicalPlan::execute_on`] runs on an [`Engine`] with ≥ 2 threads
+//! and the input spans ≥ 2 morsels, the morsels run on the worker pool
+//! and their outputs are stitched back **in morsel order**, which equals
+//! one left-to-right scan; otherwise the whole input is one morsel, run
+//! inline. Hash-table builds are **partitioned** across the pool by key
+//! hash: a key lives in exactly one shard, so its row chain equals the
+//! single table's. Narrowing dedup keeps each morsel's first
+//! occurrences, then shard workers claim the global first occurrences in
+//! input order and a flag-guided sweep restores that order. Output is
+//! therefore **bit-identical** at every thread count and morsel size —
+//! parallelism is purely a performance knob.
 
 use crate::algebra::{AlgebraExpr, Condition, Relation};
-use crate::fx::{self, FxHasher, FxMap, FxSet};
+use crate::fx::FxHasher;
 use crate::state::{State, Tuple, Value};
 use crate::val::{OverlayDict, Val};
 use fq_engine::Engine;
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasher, BuildHasherDefault, Hash};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Default rows per morsel: large enough that per-morsel overhead (one
 /// pool hand-off, one partial buffer) is noise, small enough that a
@@ -80,7 +86,7 @@ impl Default for ExecOpts {
 
 /// Per-operator execution statistics: a rendered operator label, the
 /// number of (duplicate-free) rows it produced, and how many morsels its
-/// input was split into (1 when the operator ran sequentially).
+/// input was split into (1 when the operator ran inline).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OpStat {
     pub op: String,
@@ -153,8 +159,11 @@ impl RCond {
 enum PNode {
     Scan {
         name: String,
+        arity: usize,
     },
-    Empty,
+    Empty {
+        arity: usize,
+    },
     Singleton {
         tuple: Tuple,
     },
@@ -162,15 +171,13 @@ enum PNode {
         input: Box<PNode>,
         cond: PCond,
     },
-    /// Projection to fewer columns — may create duplicates, so it dedups.
-    ProjectNarrow {
+    /// One column map, folded from a chain of projections and extends:
+    /// output column `k` is input column `idx[k]`. `dedup` is set when
+    /// the map drops an input column, the only way it can merge rows.
+    Map {
         input: Box<PNode>,
         idx: Vec<usize>,
-    },
-    /// Pure column permutation — cannot create duplicates.
-    ProjectPerm {
-        input: Box<PNode>,
-        idx: Vec<usize>,
+        dedup: bool,
     },
     /// Hash join: output is `left ++ right[rextra]`. The build side is
     /// chosen at run time from the actual input cardinalities.
@@ -181,20 +188,21 @@ enum PNode {
         rkey: Vec<usize>,
         rextra: Vec<usize>,
     },
+    /// Keep the left rows whose `lkey` columns equal no right row's
+    /// `rkey` columns: a `diff` when `lkey` is the whole left row, the
+    /// hash anti-join `E ∧ ¬N` otherwise.
+    AntiJoin {
+        left: Box<PNode>,
+        right: Box<PNode>,
+        lkey: Vec<usize>,
+        rkey: Vec<usize>,
+        diff: bool,
+    },
     /// Union dedups; `rperm` aligns the right stream to the left layout.
     Union {
         left: Box<PNode>,
         right: Box<PNode>,
         rperm: Vec<usize>,
-    },
-    Diff {
-        left: Box<PNode>,
-        right: Box<PNode>,
-        rperm: Vec<usize>,
-    },
-    Extend {
-        input: Box<PNode>,
-        src: usize,
     },
 }
 
@@ -221,9 +229,10 @@ impl PhysicalPlan {
         self.execute_with_stats(state).relation
     }
 
-    /// Execute and report per-operator row counts (sequential path).
+    /// Execute inline (every operator one morsel) and report
+    /// per-operator row counts.
     pub fn execute_with_stats(&self, state: &State) -> ExecReport {
-        self.exec(state, None, ExecOpts::default())
+        self.exec(state, &Engine::sequential(), ExecOpts::default())
     }
 
     /// Execute morsel-driven on `engine`'s worker pool. Output is
@@ -240,10 +249,10 @@ impl PhysicalPlan {
         engine: &Engine,
         opts: ExecOpts,
     ) -> ExecReport {
-        self.exec(state, Some(engine), opts)
+        self.exec(state, engine, opts)
     }
 
-    fn exec(&self, state: &State, eng: Option<&Engine>, opts: ExecOpts) -> ExecReport {
+    fn exec(&self, state: &State, eng: &Engine, opts: ExecOpts) -> ExecReport {
         assert!(opts.morsel_rows > 0, "morsel size must be positive");
         let mut cx = ExecContext {
             state,
@@ -257,7 +266,8 @@ impl PhysicalPlan {
         // Decoding sorts implicitly: the `BTreeSet` restores the
         // canonical tuple order regardless of stream order.
         let tuples: BTreeSet<Tuple> = out
-            .rows()
+            .view()
+            .iter()
             .map(|row| row.iter().map(|&v| cx.overlay.decode(v)).collect())
             .collect();
         ExecReport {
@@ -279,8 +289,11 @@ fn col(attrs: &[String], attr: &str) -> usize {
 
 fn lower(expr: &AlgebraExpr) -> PNode {
     match expr {
-        AlgebraExpr::Base { name, .. } => PNode::Scan { name: name.clone() },
-        AlgebraExpr::Empty(_) => PNode::Empty,
+        AlgebraExpr::Base { name, attrs } => PNode::Scan {
+            name: name.clone(),
+            arity: attrs.len(),
+        },
+        AlgebraExpr::Empty(attrs) => PNode::Empty { arity: attrs.len() },
         AlgebraExpr::Singleton(cols) => PNode::Singleton {
             tuple: cols.iter().map(|(_, v)| v.clone()).collect(),
         },
@@ -297,15 +310,17 @@ fn lower(expr: &AlgebraExpr) -> PNode {
                 cond,
             }
         }
-        AlgebraExpr::Project(e, attrs) => {
-            let in_attrs = e.attrs();
-            let idx: Vec<usize> = attrs.iter().map(|a| col(&in_attrs, a)).collect();
-            let input = Box::new(lower(e));
-            if idx.len() == in_attrs.len() {
-                // Keeps every column: a permutation, duplicates impossible.
-                PNode::ProjectPerm { input, idx }
-            } else {
-                PNode::ProjectNarrow { input, idx }
+        AlgebraExpr::Project(..) | AlgebraExpr::Extend(..) => {
+            let (input, idx) = column_map(expr);
+            let arity = input.attrs().len();
+            if idx.iter().copied().eq(0..arity) {
+                // A pure rename: the input stream is the output stream.
+                return lower(input);
+            }
+            PNode::Map {
+                input: Box::new(lower(input)),
+                dedup: !(0..arity).all(|c| idx.contains(&c)),
+                idx,
             }
         }
         AlgebraExpr::Join(a, b) => {
@@ -336,31 +351,89 @@ fn lower(expr: &AlgebraExpr) -> PNode {
         AlgebraExpr::Union(a, b) => {
             let la = a.attrs();
             let lb = b.attrs();
-            let rperm: Vec<usize> = la.iter().map(|attr| col(&lb, attr)).collect();
             PNode::Union {
                 left: Box::new(lower(a)),
                 right: Box::new(lower(b)),
-                rperm,
+                rperm: la.iter().map(|attr| col(&lb, attr)).collect(),
             }
         }
         AlgebraExpr::Diff(a, b) => {
             let la = a.attrs();
-            let lb = b.attrs();
-            let rperm: Vec<usize> = la.iter().map(|attr| col(&lb, attr)).collect();
-            PNode::Diff {
-                left: Box::new(lower(a)),
-                right: Box::new(lower(b)),
-                rperm,
-            }
-        }
-        AlgebraExpr::Extend(e, _, src) => {
-            let attrs = e.attrs();
-            PNode::Extend {
-                input: Box::new(lower(e)),
-                src: col(&attrs, src),
+            match anti_join_operand(&la, a, b) {
+                Some(n) => {
+                    let ln = n.attrs();
+                    PNode::AntiJoin {
+                        left: Box::new(lower(a)),
+                        right: Box::new(lower(n)),
+                        lkey: ln.iter().map(|attr| col(&la, attr)).collect(),
+                        rkey: (0..ln.len()).collect(),
+                        diff: false,
+                    }
+                }
+                None => {
+                    let lb = b.attrs();
+                    PNode::AntiJoin {
+                        left: Box::new(lower(a)),
+                        right: Box::new(lower(b)),
+                        lkey: (0..la.len()).collect(),
+                        rkey: la.iter().map(|attr| col(&lb, attr)).collect(),
+                        diff: true,
+                    }
+                }
             }
         }
     }
+}
+
+/// Resolve a chain of projections and extends to the chain's input and
+/// one column map over it: output column `k` is input column `idx[k]`.
+/// Under set semantics the composed map equals the chain.
+fn column_map(expr: &AlgebraExpr) -> (&AlgebraExpr, Vec<usize>) {
+    match expr {
+        AlgebraExpr::Project(e, attrs) => {
+            let (input, idx) = column_map(e);
+            let e_attrs = e.attrs();
+            (input, attrs.iter().map(|a| idx[col(&e_attrs, a)]).collect())
+        }
+        AlgebraExpr::Extend(e, _, src) => {
+            let (input, mut idx) = column_map(e);
+            idx.push(idx[col(&e.attrs(), src)]);
+            (input, idx)
+        }
+        other => (other, (0..other.attrs().len()).collect()),
+    }
+}
+
+/// `N` when `left − right` is the anti-join shape `E − π(E ⋈ N)`: the
+/// right side is `E ⋈ N` or `N ⋈ E`, optionally under a projection that
+/// permutes the columns back to `attrs(E)`, with the `E` operand
+/// structurally equal to `left` and `attrs(N) ⊆ attrs(E)`. Then
+/// `E ⋈ N` holds exactly the `E` rows whose `N` columns are a row of
+/// `N`, and the difference keeps the others.
+fn anti_join_operand<'e>(
+    la: &[String],
+    left: &AlgebraExpr,
+    right: &'e AlgebraExpr,
+) -> Option<&'e AlgebraExpr> {
+    let join = match right {
+        AlgebraExpr::Project(j, attrs)
+            if attrs.len() == la.len() && attrs.iter().all(|a| la.contains(a)) =>
+        {
+            j
+        }
+        other => other,
+    };
+    let AlgebraExpr::Join(x, y) = join else {
+        return None;
+    };
+    let n = if **x == *left {
+        y
+    } else if **y == *left {
+        x
+    } else {
+        return None;
+    };
+    n.attrs().iter().all(|a| la.contains(a)).then_some(&**n)
 }
 
 /// A flat, arity-strided stream of word rows. `rows` is explicit so
@@ -368,32 +441,93 @@ fn lower(expr: &AlgebraExpr) -> PNode {
 ///
 /// `data` is copy-on-write over the executed state's lifetime: base
 /// scans *borrow* the [`VRel`](crate::VRel)'s flat store directly (a
-/// million-row string relation scans without copying a word — cloning a
-/// borrowed stream for the scan memo is O(1)), while operators build
-/// owned buffers. `to_mut` never actually clones in practice because
-/// rows are only pushed into streams born owned.
+/// million-row string relation scans without copying a word, and the
+/// scan memo's clone is O(1)), while operators build owned buffers.
 #[derive(Clone, Debug)]
 struct VStream<'a> {
     arity: usize,
     rows: usize,
-    data: std::borrow::Cow<'a, [Val]>,
+    data: Cow<'a, [Val]>,
 }
 
 impl<'a> VStream<'a> {
     fn empty(arity: usize) -> VStream<'a> {
-        VStream {
-            arity,
-            rows: 0,
-            data: std::borrow::Cow::Owned(Vec::new()),
+        Out::new(arity).into()
+    }
+
+    fn row(&self, i: usize) -> &[Val] {
+        &self.data[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// The whole stream as one morsel.
+    fn view(&self) -> Rows<'_> {
+        Rows {
+            arity: self.arity,
+            rows: self.rows,
+            data: &self.data,
         }
     }
 
-    fn owned(arity: usize, rows: usize, data: Vec<Val>) -> VStream<'a> {
-        debug_assert_eq!(data.len(), rows * arity);
+    /// The stream cut into `morsel_rows`-row slices on arity-stride
+    /// boundaries (the tail morsel is shorter).
+    fn morsels(&self, morsel_rows: usize) -> Vec<Rows<'_>> {
+        (0..self.rows)
+            .step_by(morsel_rows)
+            .map(|start| {
+                let end = (start + morsel_rows).min(self.rows);
+                Rows {
+                    arity: self.arity,
+                    rows: end - start,
+                    data: &self.data[start * self.arity..end * self.arity],
+                }
+            })
+            .collect()
+    }
+}
+
+impl From<Out> for VStream<'_> {
+    fn from(out: Out) -> Self {
         VStream {
+            arity: out.arity,
+            rows: out.rows,
+            data: Cow::Owned(out.data),
+        }
+    }
+}
+
+/// A borrowed run of rows: one morsel of a stream, or all of it.
+#[derive(Clone, Copy)]
+struct Rows<'s> {
+    arity: usize,
+    rows: usize,
+    data: &'s [Val],
+}
+
+impl<'s> Rows<'s> {
+    fn iter(self) -> impl Iterator<Item = &'s [Val]> {
+        // `chunks_exact` needs a positive stride; a zero-arity run holds
+        // its (at most one) empty row in `rows` alone.
+        let empty: &'s [Val] = &[];
+        let zero_arity_rows = if self.arity == 0 { self.rows } else { 0 };
+        self.data
+            .chunks_exact(self.arity.max(1))
+            .chain(std::iter::repeat_n(empty, zero_arity_rows))
+    }
+}
+
+/// An operator's owned output buffer for one morsel.
+struct Out {
+    arity: usize,
+    rows: usize,
+    data: Vec<Val>,
+}
+
+impl Out {
+    fn new(arity: usize) -> Out {
+        Out {
             arity,
-            rows,
-            data: std::borrow::Cow::Owned(data),
+            rows: 0,
+            data: Vec::new(),
         }
     }
 
@@ -401,26 +535,256 @@ impl<'a> VStream<'a> {
         &self.data[i * self.arity..(i + 1) * self.arity]
     }
 
-    fn rows(&self) -> impl Iterator<Item = &[Val]> + '_ {
-        (0..self.rows).map(move |i| self.row(i))
-    }
-
     fn push(&mut self, row: &[Val]) {
         debug_assert_eq!(row.len(), self.arity);
-        self.data.to_mut().extend_from_slice(row);
+        self.data.extend_from_slice(row);
         self.rows += 1;
     }
 
-    /// The stream cut into `morsel_rows`-row slices on arity-stride
-    /// boundaries (the tail morsel is shorter).
-    fn morsels(&self, morsel_rows: usize) -> Vec<&[Val]> {
-        (0..self.rows)
-            .step_by(morsel_rows)
-            .map(|start| {
-                let end = (start + morsel_rows).min(self.rows);
-                &self.data[start * self.arity..end * self.arity]
-            })
-            .collect()
+    /// Push `row[cols]`.
+    fn push_cols(&mut self, row: &[Val], cols: &[usize]) {
+        self.data.extend(cols.iter().map(|&c| row[c]));
+        self.rows += 1;
+    }
+
+    /// Push `left ++ right[cols]`.
+    fn push_join(&mut self, left: &[Val], right: &[Val], cols: &[usize]) {
+        self.data.extend_from_slice(left);
+        self.push_cols(right, cols);
+    }
+}
+
+/// Concatenate per-morsel outputs, in morsel order, into one stream. A
+/// single part moves without copying.
+fn stitch<'a>(parts: Vec<Out>) -> VStream<'a> {
+    let mut parts = parts.into_iter();
+    let mut all = parts.next().expect("every schedule has a morsel");
+    let rest: Vec<Out> = parts.collect();
+    all.data.reserve(rest.iter().map(|p| p.data.len()).sum());
+    for part in rest {
+        all.data.extend(part.data);
+        all.rows += part.rows;
+    }
+    all.into()
+}
+
+/// A row key borrowed from a flat word buffer, carrying its hash so a
+/// key is hashed once for both its shard and its bucket.
+#[derive(Clone, Copy)]
+struct Key<'w> {
+    hash: u64,
+    words: &'w [Val],
+}
+
+impl<'w> Key<'w> {
+    fn new(words: &'w [Val]) -> Key<'w> {
+        let mut h = FxHasher::default();
+        for w in words {
+            h.write_u64(w.raw());
+        }
+        // Fold the well-mixed high bits down: the table picks buckets
+        // from the low bits, which a bare Fx multiply leaves equal for
+        // words that agree in their low bits.
+        Key {
+            hash: h.finish().rotate_left(26),
+            words,
+        }
+    }
+
+    /// The shard of a table split `shards` ways that owns this key.
+    /// Bits the table's bucket choice does not use keep a shard's keys
+    /// spread over all of its buckets.
+    fn shard(&self, shards: usize) -> usize {
+        (self.hash >> 32) as usize % shards
+    }
+}
+
+impl PartialEq for Key<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.words == other.words
+    }
+}
+
+impl Eq for Key<'_> {}
+
+impl Hash for Key<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Hasher for [`Key`]: passes the precomputed hash through.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("keys hash as their precomputed u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type KeyMap<'w, V> = HashMap<Key<'w>, V, BuildHasherDefault<KeyHasher>>;
+type KeySet<'w> = HashSet<Key<'w>, BuildHasherDefault<KeyHasher>>;
+
+/// How to read a key from one row: a contiguous run of columns is
+/// borrowed in place, any other column list is gathered into a scratch
+/// buffer.
+#[derive(Clone, Copy)]
+enum KeyCols<'c> {
+    Run(usize, usize),
+    Gather(&'c [usize]),
+}
+
+impl KeyCols<'_> {
+    fn new(cols: &[usize]) -> KeyCols<'_> {
+        let first = cols.first().copied().unwrap_or(0);
+        if cols.iter().enumerate().all(|(i, &c)| c == first + i) {
+            KeyCols::Run(first, cols.len())
+        } else {
+            KeyCols::Gather(cols)
+        }
+    }
+
+    fn of<'r>(self, row: &'r [Val], scratch: &'r mut Vec<Val>) -> &'r [Val] {
+        match self {
+            KeyCols::Run(start, len) => &row[start..start + len],
+            KeyCols::Gather(cols) => {
+                scratch.clear();
+                scratch.extend(cols.iter().map(|&c| row[c]));
+                scratch
+            }
+        }
+    }
+}
+
+/// The key columns of every row of a stream as borrowable slices: a
+/// contiguous run borrows the stream, any other column list is gathered
+/// once into one flat buffer.
+struct Keys<'s> {
+    data: Cow<'s, [Val]>,
+    stride: usize,
+    start: usize,
+    len: usize,
+    rows: usize,
+}
+
+impl<'s> Keys<'s> {
+    fn new(s: &'s VStream<'_>, cols: &[usize]) -> Keys<'s> {
+        let (data, stride, start) = match KeyCols::new(cols) {
+            KeyCols::Run(start, _) => (Cow::Borrowed(&*s.data), s.arity, start),
+            KeyCols::Gather(cols) => {
+                let mut data = Vec::with_capacity(s.rows * cols.len());
+                for row in s.view().iter() {
+                    data.extend(cols.iter().map(|&c| row[c]));
+                }
+                (Cow::Owned(data), cols.len(), 0)
+            }
+        };
+        Keys {
+            data,
+            stride,
+            start,
+            len: cols.len(),
+            rows: s.rows,
+        }
+    }
+
+    fn get(&self, i: usize) -> &[Val] {
+        let start = i * self.stride + self.start;
+        &self.data[start..start + self.len]
+    }
+}
+
+/// Marks the end of a [`Table`] row chain.
+const NIL: u32 = u32::MAX;
+
+/// A hash table over the keys of a build stream's rows, partitioned into
+/// shards by key hash. Each key's rows are chained in build order.
+struct Table<'k> {
+    shards: Vec<Shard<'k>>,
+}
+
+struct Shard<'k> {
+    /// Key → first and last entry of its chain.
+    heads: KeyMap<'k, (u32, u32)>,
+    /// Entry → build row.
+    rows: Vec<u32>,
+    /// Entry → next entry with the same key, or [`NIL`].
+    next: Vec<u32>,
+}
+
+impl<'k> Table<'k> {
+    /// Build over `keys`: with `fanout`, one shard per pool thread (each
+    /// shard worker scans every key in order and keeps its own), else a
+    /// single table built inline.
+    fn build(keys: &'k Keys<'_>, eng: &Engine, fanout: bool) -> Table<'k> {
+        let nshards = if fanout {
+            eng.threads().min(keys.rows).max(1)
+        } else {
+            1
+        };
+        let ids: Vec<usize> = (0..nshards).collect();
+        let shards = eng.parallel_map(&ids, |&w| {
+            let mut shard = Shard {
+                heads: KeyMap::with_capacity_and_hasher(
+                    keys.rows / nshards + 1,
+                    Default::default(),
+                ),
+                rows: Vec::new(),
+                next: Vec::new(),
+            };
+            for i in 0..keys.rows {
+                let key = Key::new(keys.get(i));
+                if nshards > 1 && key.shard(nshards) != w {
+                    continue;
+                }
+                let entry = shard.rows.len() as u32;
+                shard.rows.push(i as u32);
+                shard.next.push(NIL);
+                match shard.heads.entry(key) {
+                    Entry::Vacant(v) => {
+                        v.insert((entry, entry));
+                    }
+                    Entry::Occupied(mut o) => {
+                        let last = &mut o.get_mut().1;
+                        shard.next[*last as usize] = entry;
+                        *last = entry;
+                    }
+                }
+            }
+            shard
+        });
+        Table { shards }
+    }
+
+    /// The shard owning `key` and the first entry of its chain.
+    fn find(&self, key: &[Val]) -> Option<(&Shard<'k>, u32)> {
+        let key = Key::new(key);
+        let shard = &self.shards[key.shard(self.shards.len())];
+        shard.heads.get(&key).map(|&(first, _)| (shard, first))
+    }
+
+    fn contains(&self, key: &[Val]) -> bool {
+        self.find(key).is_some()
+    }
+
+    /// The build rows whose key is `key`, in build order.
+    fn matches(&self, key: &[Val]) -> impl Iterator<Item = usize> + '_ {
+        let mut cur = self.find(key);
+        std::iter::from_fn(move || {
+            let (shard, entry) = cur?;
+            let next = shard.next[entry as usize];
+            cur = (next != NIL).then_some((shard, next));
+            Some(shard.rows[entry as usize] as usize)
+        })
     }
 }
 
@@ -432,66 +796,68 @@ struct ExecContext<'a> {
     /// Base relations materialized in this execution, by name.
     scans: HashMap<String, VStream<'a>>,
     stats: Vec<OpStat>,
-    /// Worker pool for morsel fan-out; `None` runs fully sequential.
-    eng: Option<&'a Engine>,
+    /// Worker pool for morsel fan-out; a one-thread engine runs every
+    /// operator inline.
+    eng: &'a Engine,
     morsel_rows: usize,
 }
 
 impl<'a> ExecContext<'a> {
-    /// The engine to fan out on, when a parallel schedule is worthwhile
-    /// for a stream of `rows` rows of `arity` columns: ≥ 2 pool threads
-    /// and ≥ 2 morsels (zero-arity streams hold at most one row under
-    /// the duplicate-freeness invariant, so they never qualify).
-    fn fanout(&self, arity: usize, rows: usize) -> Option<&'a Engine> {
-        let eng = self.eng?;
-        (eng.threads() >= 2 && arity > 0 && rows.div_ceil(self.morsel_rows) >= 2).then_some(eng)
+    /// Whether a parallel schedule is worthwhile for a stream of `rows`
+    /// rows of `arity` columns: ≥ 2 pool threads and ≥ 2 morsels
+    /// (zero-arity streams hold at most one row under the
+    /// duplicate-freeness invariant, so they never qualify).
+    fn fanout(&self, arity: usize, rows: usize) -> bool {
+        self.eng.threads() >= 2 && arity > 0 && rows.div_ceil(self.morsel_rows) >= 2
     }
-}
 
-/// Concatenate per-morsel partial outputs, in morsel order, into one
-/// owned stream of `out_arity`-column rows.
-fn stitch<'a>(parts: Vec<Vec<Val>>, out_arity: usize) -> VStream<'a> {
-    debug_assert!(out_arity > 0, "parallel operators produce positive arity");
-    let total: usize = parts.iter().map(Vec::len).sum();
-    let mut data = Vec::with_capacity(total);
-    for part in parts {
-        data.extend(part);
+    /// `f` over the morsels of `s` on the pool when [`Self::fanout`]
+    /// agrees, else over the whole of `s` as one morsel inline (a
+    /// one-item `parallel_map` runs on the calling thread); results in
+    /// morsel order.
+    fn map_morsels<'s, U: Send>(
+        &self,
+        s: &'s VStream<'_>,
+        f: impl Fn(Rows<'s>) -> U + Sync,
+    ) -> Vec<U> {
+        let morsels = if self.fanout(s.arity, s.rows) {
+            s.morsels(self.morsel_rows)
+        } else {
+            vec![s.view()]
+        };
+        self.eng.parallel_map(&morsels, |m| f(*m))
     }
-    VStream::owned(out_arity, total / out_arity, data)
-}
 
-/// Fan `s`'s morsels out on the pool, apply `f` to each independently,
-/// and stitch the partial outputs back in morsel order — equal to the
-/// sequential left-to-right scan whenever `f` is a per-row map/filter.
-/// Returns the stream and the number of morsels processed.
-fn par_morsel_map<'a, F>(
-    eng: &Engine,
-    s: &VStream<'_>,
-    morsel_rows: usize,
-    out_arity: usize,
-    f: F,
-) -> (VStream<'a>, usize)
-where
-    F: Fn(&[Val]) -> Vec<Val> + Sync,
-{
-    let morsels = s.morsels(morsel_rows);
-    let n = morsels.len();
-    let parts = eng.parallel_map(&morsels, |m| f(m));
-    (stitch(parts, out_arity), n)
+    /// Run the per-morsel `body` over `s`, writing `arity`-column rows,
+    /// and stitch the outputs. Returns the stream and the morsel count.
+    fn per_morsel<'s>(
+        &self,
+        s: &'s VStream<'_>,
+        arity: usize,
+        body: impl Fn(Rows<'s>, &mut Out) + Sync,
+    ) -> (VStream<'a>, usize) {
+        let parts = self.map_morsels(s, |m| {
+            let mut out = Out::new(arity);
+            body(m, &mut out);
+            out
+        });
+        let n = parts.len();
+        (stitch(parts), n)
+    }
 }
 
 /// Evaluate a node to a duplicate-free word stream.
 ///
 /// Invariant: every stream returned here is duplicate-free. Scans and
-/// singletons are sets; filters, permutations, extends, and differences
-/// preserve duplicate-freeness; hash joins of duplicate-free inputs are
-/// duplicate-free (the output determines both factors); narrowing
-/// projections and unions are the only duplicate sources, and both
+/// singletons are sets; filters, covering maps, anti-joins and
+/// differences preserve duplicate-freeness; hash joins of duplicate-free
+/// inputs are duplicate-free (the output determines both factors);
+/// narrowing maps and unions are the only duplicate sources, and both
 /// dedup. Row counts therefore equal the logical cardinalities of the
 /// naive backend.
 fn run<'a>(node: &PNode, cx: &mut ExecContext<'a>) -> VStream<'a> {
     let (label, out, morsels) = match node {
-        PNode::Scan { name } => {
+        PNode::Scan { name, arity } => {
             let out = match cx.scans.get(name) {
                 Some(s) => s.clone(),
                 None => {
@@ -501,9 +867,9 @@ fn run<'a>(node: &PNode, cx: &mut ExecContext<'a>) -> VStream<'a> {
                         Some(rel) => VStream {
                             arity: rel.arity(),
                             rows: rel.rows(),
-                            data: std::borrow::Cow::Borrowed(rel.data()),
+                            data: Cow::Borrowed(rel.data()),
                         },
-                        None => VStream::empty(0),
+                        None => VStream::empty(*arity),
                     };
                     cx.scans.insert(name.clone(), s.clone());
                     s
@@ -511,158 +877,47 @@ fn run<'a>(node: &PNode, cx: &mut ExecContext<'a>) -> VStream<'a> {
             };
             (format!("scan {name}"), out, 1)
         }
-        PNode::Empty => ("empty".to_string(), VStream::empty(0), 1),
+        PNode::Empty { arity } => ("empty".to_string(), VStream::empty(*arity), 1),
         PNode::Singleton { tuple } => {
-            let mut out = VStream::empty(tuple.len());
+            let mut out = Out::new(tuple.len());
             let row: Vec<Val> = tuple.iter().map(|v| cx.overlay.encode(v)).collect();
             out.push(&row);
-            ("const".to_string(), out, 1)
+            ("const".to_string(), out.into(), 1)
         }
         PNode::Filter { input, cond } => {
             let s = run(input, cx);
             let cond = RCond::resolve(cond, &cx.overlay);
-            let (out, morsels) = match cx.fanout(s.arity, s.rows) {
-                Some(eng) => {
-                    let arity = s.arity;
-                    par_morsel_map(eng, &s, cx.morsel_rows, arity, |m| {
-                        let mut kept = Vec::new();
-                        for row in m.chunks_exact(arity) {
-                            if cond.keep(row) {
-                                kept.extend_from_slice(row);
-                            }
-                        }
-                        kept
-                    })
-                }
-                None => {
-                    let mut out = VStream::empty(s.arity);
-                    for row in s.rows() {
-                        if cond.keep(row) {
-                            out.push(row);
-                        }
+            let (out, morsels) = cx.per_morsel(&s, s.arity, |m, out| {
+                for row in m.iter() {
+                    if cond.keep(row) {
+                        out.push(row);
                     }
-                    (out, 1)
                 }
-            };
+            });
             ("filter".to_string(), out, morsels)
         }
-        PNode::ProjectPerm { input, idx } => {
+        PNode::Map {
+            input,
+            idx,
+            dedup: false,
+        } => {
             let s = run(input, cx);
-            let (out, morsels) = match cx.fanout(s.arity, s.rows) {
-                Some(eng) => {
-                    let arity = s.arity;
-                    par_morsel_map(eng, &s, cx.morsel_rows, idx.len(), |m| {
-                        let mut data = Vec::with_capacity(m.len() / arity * idx.len());
-                        for row in m.chunks_exact(arity) {
-                            data.extend(idx.iter().map(|&i| row[i]));
-                        }
-                        data
-                    })
+            let (out, morsels) = cx.per_morsel(&s, idx.len(), |m, out| {
+                out.data.reserve(m.rows * idx.len());
+                for row in m.iter() {
+                    out.push_cols(row, idx);
                 }
-                None => {
-                    let mut data = Vec::with_capacity(s.rows * idx.len());
-                    for row in s.rows() {
-                        data.extend(idx.iter().map(|&i| row[i]));
-                    }
-                    (VStream::owned(idx.len(), s.rows, data), 1)
-                }
-            };
-            ("project(permute)".to_string(), out, morsels)
+            });
+            ("project(gather)".to_string(), out, morsels)
         }
-        PNode::ProjectNarrow { input, idx } => {
+        PNode::Map {
+            input,
+            idx,
+            dedup: true,
+        } => {
             let s = run(input, cx);
-            match cx.fanout(s.arity, s.rows).filter(|_| !idx.is_empty()) {
-                Some(eng) => {
-                    // Three parallel phases, equal to the sequential
-                    // scan's global first-occurrence semantics:
-                    //
-                    // 1. Per-morsel local dedup keeps each morsel's
-                    //    first occurrences and hashes each kept row.
-                    // 2. Sharded global dedup: shard workers scan the
-                    //    kept rows in global order, each claiming only
-                    //    rows whose hash lands in its shard. Equal rows
-                    //    always share a shard, so every shard's local
-                    //    first occurrence *is* the global one.
-                    // 3. An order-restoring stitch copies the surviving
-                    //    rows back in global order — no hashing, just a
-                    //    flag-guided sweep.
-                    let arity = s.arity;
-                    let k = idx.len();
-                    let morsels = s.morsels(cx.morsel_rows);
-                    let n = morsels.len();
-                    let parts: Vec<(Vec<Val>, Vec<u64>)> = eng.parallel_map(&morsels, |m| {
-                        let mut local: FxSet<Vec<Val>> = FxSet::default();
-                        let mut out = Vec::new();
-                        let mut hashes = Vec::new();
-                        for row in m.chunks_exact(arity) {
-                            let narrow: Vec<Val> = idx.iter().map(|&i| row[i]).collect();
-                            if local.contains(&narrow) {
-                                continue;
-                            }
-                            let mut h = FxHasher::default();
-                            for &v in &narrow {
-                                std::hash::Hasher::write_u64(&mut h, v.raw());
-                            }
-                            hashes.push(std::hash::Hasher::finish(&h));
-                            out.extend_from_slice(&narrow);
-                            local.insert(narrow);
-                        }
-                        (out, hashes)
-                    });
-                    // Each part's offset in the concatenated kept rows.
-                    let mut offsets = Vec::with_capacity(n);
-                    let mut total = 0usize;
-                    for (_, hashes) in &parts {
-                        offsets.push(total);
-                        total += hashes.len();
-                    }
-                    let shard_ids: Vec<u64> = (0..eng.threads().max(1) as u64).collect();
-                    let nshards = shard_ids.len() as u64;
-                    let survivors = eng.parallel_map(&shard_ids, |&shard| {
-                        let mut seen: FxSet<&[Val]> = FxSet::default();
-                        let mut keep: Vec<usize> = Vec::new();
-                        for (p, (rows, hashes)) in parts.iter().enumerate() {
-                            for (i, &h) in hashes.iter().enumerate() {
-                                if h % nshards != shard {
-                                    continue;
-                                }
-                                if seen.insert(&rows[i * k..(i + 1) * k]) {
-                                    keep.push(offsets[p] + i);
-                                }
-                            }
-                        }
-                        keep
-                    });
-                    let mut keep_flags = vec![false; total];
-                    for list in &survivors {
-                        for &g in list {
-                            keep_flags[g] = true;
-                        }
-                    }
-                    let mut out = VStream::empty(k);
-                    let mut g = 0usize;
-                    for (rows, hashes) in &parts {
-                        for i in 0..hashes.len() {
-                            if keep_flags[g] {
-                                out.push(&rows[i * k..(i + 1) * k]);
-                            }
-                            g += 1;
-                        }
-                    }
-                    ("project(dedup)".to_string(), out, n)
-                }
-                None => {
-                    let mut seen: FxSet<Vec<Val>> = fx::set_with_capacity(s.rows);
-                    let mut out = VStream::empty(idx.len());
-                    for row in s.rows() {
-                        let narrow: Vec<Val> = idx.iter().map(|&i| row[i]).collect();
-                        if seen.insert(narrow.clone()) {
-                            out.push(&narrow);
-                        }
-                    }
-                    ("project(dedup)".to_string(), out, 1)
-                }
-            }
+            let (out, morsels) = narrow_dedup(&s, idx, cx);
+            ("project(dedup)".to_string(), out, morsels)
         }
         PNode::HashJoin {
             left,
@@ -677,114 +932,63 @@ fn run<'a>(node: &PNode, cx: &mut ExecContext<'a>) -> VStream<'a> {
             let (out, morsels) = hash_join(&l, &r, lkey, rkey, rextra, cx);
             (label, out, morsels)
         }
+        PNode::AntiJoin {
+            left,
+            right,
+            lkey,
+            rkey,
+            diff,
+        } => {
+            let l = run(left, cx);
+            let r = run(right, cx);
+            let label = if *diff {
+                "diff".to_string()
+            } else {
+                format!("anti-join (left {} ▷ right {})", l.rows, r.rows)
+            };
+            let rkeys = Keys::new(&r, rkey);
+            let table = Table::build(&rkeys, cx.eng, cx.fanout(l.arity, l.rows));
+            let lkey = KeyCols::new(lkey);
+            let (out, morsels) = cx.per_morsel(&l, l.arity, |m, out| {
+                let mut scratch = Vec::new();
+                for row in m.iter() {
+                    if !table.contains(lkey.of(row, &mut scratch)) {
+                        out.push(row);
+                    }
+                }
+            });
+            (label, out, morsels)
+        }
         PNode::Union { left, right, rperm } => {
             let l = run(left, cx);
             let r = run(right, cx);
-            let (out, morsels) = match cx.fanout(r.arity, r.rows).filter(|_| !rperm.is_empty()) {
-                Some(eng) => {
-                    // Both inputs are duplicate-free and `rperm` is a
-                    // permutation, so the only possible collisions are
-                    // right-vs-left: emit the left verbatim and filter
-                    // right morsels against a left-row set in parallel.
-                    let rarity = r.arity;
-                    let lset: FxSet<&[Val]> = l.rows().collect();
-                    let morsels = r.morsels(cx.morsel_rows);
-                    let n = morsels.len();
-                    let parts = eng.parallel_map(&morsels, |m| {
-                        let mut kept = Vec::new();
-                        for row in m.chunks_exact(rarity) {
-                            let aligned: Vec<Val> = rperm.iter().map(|&i| row[i]).collect();
-                            if !lset.contains(aligned.as_slice()) {
-                                kept.extend(aligned);
-                            }
-                        }
-                        kept
-                    });
-                    drop(lset);
-                    let mut data = l.data.into_owned();
-                    let mut rows = l.rows;
-                    for part in parts {
-                        rows += part.len() / rperm.len();
-                        data.extend(part);
+            // Both inputs are duplicate-free and `rperm` is a
+            // permutation, so the only possible collisions are
+            // right-vs-left: keep the left stream and append the aligned
+            // right rows it lacks.
+            let all: Vec<usize> = (0..l.arity).collect();
+            let lkeys = Keys::new(&l, &all);
+            let table = Table::build(&lkeys, cx.eng, cx.fanout(r.arity, r.rows));
+            let rperm = KeyCols::new(rperm);
+            let (tail, morsels) = cx.per_morsel(&r, l.arity, |m, out| {
+                let mut scratch = Vec::new();
+                for row in m.iter() {
+                    let aligned = rperm.of(row, &mut scratch);
+                    if !table.contains(aligned) {
+                        out.push(aligned);
                     }
-                    (VStream::owned(rperm.len(), rows, data), n)
                 }
-                None => {
-                    let mut seen: FxSet<Vec<Val>> = fx::set_with_capacity(l.rows + r.rows);
-                    let mut out = VStream::empty(rperm.len());
-                    for row in l.rows() {
-                        if seen.insert(row.to_vec()) {
-                            out.push(row);
-                        }
-                    }
-                    for row in r.rows() {
-                        let aligned: Vec<Val> = rperm.iter().map(|&i| row[i]).collect();
-                        if seen.insert(aligned.clone()) {
-                            out.push(&aligned);
-                        }
-                    }
-                    (out, 1)
-                }
+            });
+            drop(table);
+            drop(lkeys);
+            let mut data = l.data.into_owned();
+            data.extend_from_slice(&tail.data);
+            let out = VStream {
+                arity: l.arity,
+                rows: l.rows + tail.rows,
+                data: Cow::Owned(data),
             };
             ("union(dedup)".to_string(), out, morsels)
-        }
-        PNode::Diff { left, right, rperm } => {
-            let l = run(left, cx);
-            let r = run(right, cx);
-            let remove: FxSet<Vec<Val>> = r
-                .rows()
-                .map(|row| rperm.iter().map(|&i| row[i]).collect())
-                .collect();
-            let (out, morsels) = match cx.fanout(l.arity, l.rows) {
-                Some(eng) => {
-                    let arity = l.arity;
-                    par_morsel_map(eng, &l, cx.morsel_rows, arity, |m| {
-                        let mut kept = Vec::new();
-                        for row in m.chunks_exact(arity) {
-                            if !remove.contains(row) {
-                                kept.extend_from_slice(row);
-                            }
-                        }
-                        kept
-                    })
-                }
-                None => {
-                    let mut out = VStream::empty(l.arity);
-                    for row in l.rows() {
-                        if !remove.contains(row) {
-                            out.push(row);
-                        }
-                    }
-                    (out, 1)
-                }
-            };
-            ("diff".to_string(), out, morsels)
-        }
-        PNode::Extend { input, src } => {
-            let s = run(input, cx);
-            let (out, morsels) = match cx.fanout(s.arity, s.rows) {
-                Some(eng) => {
-                    let arity = s.arity;
-                    let src = *src;
-                    par_morsel_map(eng, &s, cx.morsel_rows, arity + 1, |m| {
-                        let mut data = Vec::with_capacity(m.len() / arity * (arity + 1));
-                        for row in m.chunks_exact(arity) {
-                            data.extend_from_slice(row);
-                            data.push(row[src]);
-                        }
-                        data
-                    })
-                }
-                None => {
-                    let mut data = Vec::with_capacity(s.rows * (s.arity + 1));
-                    for row in s.rows() {
-                        data.extend_from_slice(row);
-                        data.push(row[*src]);
-                    }
-                    (VStream::owned(s.arity + 1, s.rows, data), 1)
-                }
-            };
-            ("extend".to_string(), out, morsels)
         }
     };
     cx.stats.push(OpStat {
@@ -795,267 +999,136 @@ fn run<'a>(node: &PNode, cx: &mut ExecContext<'a>) -> VStream<'a> {
     out
 }
 
+/// A narrowing map: project onto `idx`, which drops an input column,
+/// keeping each row's first occurrence in input order. Returns the
+/// stream and the morsel count.
+///
+/// Each morsel gathers its narrowed rows and keeps their first
+/// occurrences within the morsel. One morsel is then done. Across
+/// several, shard workers scan the survivors in input order, each
+/// claiming the rows whose hash lands in its shard — equal rows share a
+/// shard, so every shard's first occurrence is the global one — and a
+/// flag-guided sweep copies the claimed rows back in input order.
+fn narrow_dedup<'a>(s: &VStream<'_>, idx: &[usize], cx: &ExecContext<'_>) -> (VStream<'a>, usize) {
+    let k = idx.len();
+    let parts: Vec<(Out, Vec<u64>)> = cx.map_morsels(s, |m| {
+        let mut out = Out::new(k);
+        out.data.reserve(m.rows * k);
+        for row in m.iter() {
+            out.push_cols(row, idx);
+        }
+        let mut keep = Vec::new();
+        let mut hashes = Vec::new();
+        let mut seen = KeySet::with_capacity_and_hasher(out.rows, Default::default());
+        for i in 0..out.rows {
+            let key = Key::new(out.row(i));
+            if seen.insert(key) {
+                keep.push(i);
+                hashes.push(key.hash);
+            }
+        }
+        drop(seen);
+        // Compact the survivors in place; each moves down or stays.
+        for (to, &from) in keep.iter().enumerate() {
+            out.data.copy_within(from * k..(from + 1) * k, to * k);
+        }
+        out.rows = keep.len();
+        out.data.truncate(out.rows * k);
+        (out, hashes)
+    });
+    let morsels = parts.len();
+    if morsels == 1 {
+        let (out, _) = parts.into_iter().next().expect("one morsel");
+        return (out.into(), 1);
+    }
+    // Several morsels mean the schedule fanned out: one shard per thread.
+    let nshards = cx.eng.threads();
+    let ids: Vec<usize> = (0..nshards).collect();
+    let claimed: Vec<Vec<usize>> = cx.eng.parallel_map(&ids, |&w| {
+        let mut seen = KeySet::default();
+        let mut keep = Vec::new();
+        let mut offset = 0;
+        for (out, hashes) in &parts {
+            for (i, &hash) in hashes.iter().enumerate() {
+                let key = Key {
+                    hash,
+                    words: out.row(i),
+                };
+                if key.shard(nshards) == w && seen.insert(key) {
+                    keep.push(offset + i);
+                }
+            }
+            offset += out.rows;
+        }
+        keep
+    });
+    let mut flags = vec![false; parts.iter().map(|(out, _)| out.rows).sum()];
+    for &g in claimed.iter().flatten() {
+        flags[g] = true;
+    }
+    let mut out = Out::new(k);
+    let mut flags = flags.into_iter();
+    for (part, _) in &parts {
+        for i in 0..part.rows {
+            if flags.next() == Some(true) {
+                out.push(part.row(i));
+            }
+        }
+    }
+    (out.into(), morsels)
+}
+
 /// Build/probe hash join on word keys. The build side is the smaller
 /// input; the output layout is always `left ++ right[rextra]` regardless
 /// of which side was built, matching the logical Join's attribute list.
-/// One-column keys hash a single `u64`; wider keys hash a small word
-/// vector. An empty key is the cross-product case.
-///
-/// When `cx` carries an engine and the probe side spans ≥ 2 morsels, the
-/// join runs parallel on both sides (see [`par_keyed_join`]); output is
-/// bit-identical to the sequential path. Returns the stream and the
-/// number of probe morsels (1 for the sequential path).
+/// Probe morsels emit each match in build order, so the stitched output
+/// equals one probe scan. An empty key is the cross product: each left
+/// morsel crossed with the whole right side. Returns the stream and the
+/// number of probe morsels.
 fn hash_join<'a>(
     l: &VStream<'_>,
     r: &VStream<'_>,
     lkey: &[usize],
     rkey: &[usize],
     rextra: &[usize],
-    cx: &ExecContext<'_>,
+    cx: &ExecContext<'a>,
 ) -> (VStream<'a>, usize) {
     let out_arity = l.arity + rextra.len();
     if lkey.is_empty() {
-        // Cross product: fan out over left morsels, each crossed with
-        // the whole right side — concatenation in morsel order equals
-        // the sequential nested loop.
-        if let Some(eng) = cx
-            .fanout(l.arity, l.rows)
-            .filter(|_| out_arity > 0 && r.rows > 0)
-        {
-            let larity = l.arity;
-            return par_morsel_map(eng, l, cx.morsel_rows, out_arity, |m| {
-                let mut part = Vec::with_capacity(m.len() / larity * r.rows * out_arity);
-                for lrow in m.chunks_exact(larity) {
-                    for rrow in r.rows() {
-                        part.extend_from_slice(lrow);
-                        part.extend(rextra.iter().map(|&j| rrow[j]));
-                    }
+        return cx.per_morsel(l, out_arity, |m, out| {
+            out.data.reserve(m.rows * r.rows * out_arity);
+            for lrow in m.iter() {
+                for rrow in r.view().iter() {
+                    out.push_join(lrow, rrow, rextra);
                 }
-                part
-            });
-        }
-    } else {
-        // Keyed join: the build side is the smaller input, exactly as
-        // in the sequential arms below, so per-key row lists and emit
-        // order match bit for bit.
-        let build_left = l.rows <= r.rows;
-        let probe = if build_left { r } else { l };
-        if let Some(eng) = cx.fanout(probe.arity, probe.rows).filter(|_| out_arity > 0) {
-            let shards = eng
-                .threads()
-                .min(if build_left { l.rows } else { r.rows })
-                .max(1);
-            return if lkey.len() == 1 {
-                let (lk, rk) = (lkey[0], rkey[0]);
-                if build_left {
-                    par_keyed_join(
-                        eng,
-                        l,
-                        r,
-                        cx.morsel_rows,
-                        out_arity,
-                        shards,
-                        |brow| brow[lk],
-                        |prow| prow[rk],
-                        |part, i, rrow| {
-                            part.extend_from_slice(l.row(i as usize));
-                            part.extend(rextra.iter().map(|&j| rrow[j]));
-                        },
-                    )
-                } else {
-                    par_keyed_join(
-                        eng,
-                        r,
-                        l,
-                        cx.morsel_rows,
-                        out_arity,
-                        shards,
-                        |brow| brow[rk],
-                        |prow| prow[lk],
-                        |part, j, lrow| {
-                            part.extend_from_slice(lrow);
-                            part.extend(rextra.iter().map(|&j2| r.row(j as usize)[j2]));
-                        },
-                    )
-                }
-            } else {
-                let key_of = |row: &[Val], key: &[usize]| -> Vec<Val> {
-                    key.iter().map(|&i| row[i]).collect()
-                };
-                if build_left {
-                    par_keyed_join(
-                        eng,
-                        l,
-                        r,
-                        cx.morsel_rows,
-                        out_arity,
-                        shards,
-                        |brow| key_of(brow, lkey),
-                        |prow| key_of(prow, rkey),
-                        |part, i, rrow| {
-                            part.extend_from_slice(l.row(i as usize));
-                            part.extend(rextra.iter().map(|&j| rrow[j]));
-                        },
-                    )
-                } else {
-                    par_keyed_join(
-                        eng,
-                        r,
-                        l,
-                        cx.morsel_rows,
-                        out_arity,
-                        shards,
-                        |brow| key_of(brow, rkey),
-                        |prow| key_of(prow, lkey),
-                        |part, j, lrow| {
-                            part.extend_from_slice(lrow);
-                            part.extend(rextra.iter().map(|&j2| r.row(j as usize)[j2]));
-                        },
-                    )
-                }
-            };
-        }
+            }
+        });
     }
-    (hash_join_seq(l, r, lkey, rkey, rextra), 1)
-}
-
-/// Parallel keyed hash join: **partitioned build** (each worker owns one
-/// shard of the Fx-hashed key space and scans the whole build input in
-/// order, keeping the rows whose key hashes into its shard — one key
-/// lives in exactly one shard, so its row list equals the sequential
-/// table's) plus **morsel-parallel probe** (each probe morsel consults
-/// the one shard its key hashes to and emits matches in build order;
-/// stitching in morsel order reproduces the sequential probe scan).
-#[allow(clippy::too_many_arguments)]
-fn par_keyed_join<'a, K, BK, PK, EM>(
-    eng: &Engine,
-    build: &VStream<'_>,
-    probe: &VStream<'_>,
-    morsel_rows: usize,
-    out_arity: usize,
-    shards: usize,
-    bkey: BK,
-    pkey: PK,
-    emit: EM,
-) -> (VStream<'a>, usize)
-where
-    K: Hash + Eq + Send + Sync,
-    BK: Fn(&[Val]) -> K + Sync,
-    PK: Fn(&[Val]) -> K + Sync,
-    EM: Fn(&mut Vec<Val>, u32, &[Val]) + Sync,
-{
-    let fxh = BuildHasherDefault::<FxHasher>::default();
-    let shard_ids: Vec<usize> = (0..shards).collect();
-    let barity = build.arity.max(1);
-    let tables: Vec<FxMap<K, Vec<u32>>> = eng.parallel_map(&shard_ids, |&w| {
-        let mut t: FxMap<K, Vec<u32>> = fx::map_with_capacity(build.rows / shards + 1);
-        for (i, brow) in build.data.chunks_exact(barity).enumerate() {
-            let k = bkey(brow);
-            if fxh.hash_one(&k) as usize % shards == w {
-                t.entry(k).or_default().push(i as u32);
-            }
-        }
-        t
-    });
-    let morsels = probe.morsels(morsel_rows);
-    let n = morsels.len();
-    let parity = probe.arity;
-    let parts = eng.parallel_map(&morsels, |m| {
-        let mut part = Vec::new();
-        for prow in m.chunks_exact(parity) {
-            let k = pkey(prow);
-            if let Some(matches) = tables[fxh.hash_one(&k) as usize % shards].get(&k) {
-                for &i in matches {
-                    emit(&mut part, i, prow);
-                }
-            }
-        }
-        part
-    });
-    (stitch(parts, out_arity), n)
-}
-
-/// The sequential build/probe arms of [`hash_join`].
-fn hash_join_seq<'a>(
-    l: &VStream<'_>,
-    r: &VStream<'_>,
-    lkey: &[usize],
-    rkey: &[usize],
-    rextra: &[usize],
-) -> VStream<'a> {
-    let mut out = VStream::empty(l.arity + rextra.len());
-    let emit = |out: &mut VStream<'_>, lrow: &[Val], rrow: &[Val]| {
-        let data = out.data.to_mut();
-        data.extend_from_slice(lrow);
-        data.extend(rextra.iter().map(|&j| rrow[j]));
-        out.rows += 1;
-    };
-    if lkey.is_empty() {
-        out.data.to_mut().reserve(l.rows * r.rows * out.arity);
-        for lrow in l.rows() {
-            for rrow in r.rows() {
-                emit(&mut out, lrow, rrow);
-            }
-        }
-        return out;
-    }
-    if lkey.len() == 1 {
-        // Single-word key: hash bare u64s, no per-probe allocation.
-        let (lk, rk) = (lkey[0], rkey[0]);
-        if l.rows <= r.rows {
-            let mut table: FxMap<Val, Vec<u32>> = fx::map_with_capacity(l.rows);
-            for (i, lrow) in l.rows().enumerate() {
-                table.entry(lrow[lk]).or_default().push(i as u32);
-            }
-            for rrow in r.rows() {
-                if let Some(matches) = table.get(&rrow[rk]) {
-                    for &i in matches {
-                        emit(&mut out, l.row(i as usize), rrow);
-                    }
-                }
-            }
-        } else {
-            let mut table: FxMap<Val, Vec<u32>> = fx::map_with_capacity(r.rows);
-            for (j, rrow) in r.rows().enumerate() {
-                table.entry(rrow[rk]).or_default().push(j as u32);
-            }
-            for lrow in l.rows() {
-                if let Some(matches) = table.get(&lrow[lk]) {
-                    for &j in matches {
-                        emit(&mut out, lrow, r.row(j as usize));
-                    }
-                }
-            }
-        }
-        return out;
-    }
-    let key_of = |row: &[Val], key: &[usize]| -> Vec<Val> { key.iter().map(|&i| row[i]).collect() };
     if l.rows <= r.rows {
-        let mut table: FxMap<Vec<Val>, Vec<u32>> = fx::map_with_capacity(l.rows);
-        for (i, lrow) in l.rows().enumerate() {
-            table.entry(key_of(lrow, lkey)).or_default().push(i as u32);
-        }
-        for rrow in r.rows() {
-            if let Some(matches) = table.get(&key_of(rrow, rkey)) {
-                for &i in matches {
-                    emit(&mut out, l.row(i as usize), rrow);
+        let keys = Keys::new(l, lkey);
+        let table = Table::build(&keys, cx.eng, cx.fanout(r.arity, r.rows));
+        let rkey = KeyCols::new(rkey);
+        cx.per_morsel(r, out_arity, |m, out| {
+            let mut scratch = Vec::new();
+            for rrow in m.iter() {
+                for i in table.matches(rkey.of(rrow, &mut scratch)) {
+                    out.push_join(l.row(i), rrow, rextra);
                 }
             }
-        }
+        })
     } else {
-        let mut table: FxMap<Vec<Val>, Vec<u32>> = fx::map_with_capacity(r.rows);
-        for (j, rrow) in r.rows().enumerate() {
-            table.entry(key_of(rrow, rkey)).or_default().push(j as u32);
-        }
-        for lrow in l.rows() {
-            if let Some(matches) = table.get(&key_of(lrow, lkey)) {
-                for &j in matches {
-                    emit(&mut out, lrow, r.row(j as usize));
+        let keys = Keys::new(r, rkey);
+        let table = Table::build(&keys, cx.eng, cx.fanout(l.arity, l.rows));
+        let lkey = KeyCols::new(lkey);
+        cx.per_morsel(l, out_arity, |m, out| {
+            let mut scratch = Vec::new();
+            for lrow in m.iter() {
+                for j in table.matches(lkey.of(lrow, &mut scratch)) {
+                    out.push_join(lrow, r.row(j), rextra);
                 }
             }
-        }
+        })
     }
-    out
 }
 
 #[cfg(test)]
@@ -1237,7 +1310,7 @@ mod tests {
             "no operator fanned out: {:?}",
             report.operators
         );
-        // The sequential path reports exactly one morsel everywhere.
+        // Without a pool every operator runs its input as one morsel.
         let seq = plan.execute_with_stats(&state);
         assert!(seq.operators.iter().all(|s| s.morsels == 1));
     }
@@ -1284,5 +1357,83 @@ mod tests {
         assert_eq!(scans.len(), 2);
         assert!(scans.iter().all(|s| s.rows == 3));
         assert_eq!(e.eval(&state), PhysicalPlan::compile(&e).execute(&state));
+    }
+
+    fn op_labels(state: &State, expr: &AlgebraExpr) -> Vec<String> {
+        PhysicalPlan::compile(expr)
+            .execute_with_stats(state)
+            .operators
+            .into_iter()
+            .map(|s| s.op)
+            .collect()
+    }
+
+    #[test]
+    fn renamed_atoms_execute_as_borrowed_scans() {
+        let state = fathers();
+        let expr = compile(state.schema(), &parse_formula("F(x, y)").unwrap()).unwrap();
+        // The atom renames its positional columns through π∘extend∘extend.
+        assert!(matches!(expr, AlgebraExpr::Project(..)), "{expr:?}");
+        assert_eq!(op_labels(&state, &expr), ["scan F"]);
+        let plan = PhysicalPlan::compile(&expr);
+        let engine = Engine::sequential();
+        let mut cx = ExecContext {
+            state: &state,
+            overlay: OverlayDict::new(state.dict()),
+            scans: HashMap::new(),
+            stats: Vec::new(),
+            eng: &engine,
+            morsel_rows: DEFAULT_MORSEL_ROWS,
+        };
+        let out = run(&plan.root, &mut cx);
+        assert!(matches!(out.data, Cow::Borrowed(_)), "the scan was copied");
+        assert_eq!(plan.execute(&state), expr.eval(&state));
+    }
+
+    #[test]
+    fn negated_atoms_run_as_one_anti_join() {
+        let state = chain(40);
+        for q in ["F(x, y) & !F(y, x)", "F(x, y) & !S(x)"] {
+            let expr = compile(state.schema(), &parse_formula(q).unwrap()).unwrap();
+            for shape in [expr.clone(), optimize(&expr, &state).expr] {
+                let ops = op_labels(&state, &shape);
+                let anti = ops.iter().filter(|op| op.starts_with("anti-join")).count();
+                assert_eq!(anti, 1, "{q}: {ops:?}");
+                assert!(
+                    !ops.iter()
+                        .any(|op| op.starts_with("hash-join") || op == "diff"),
+                    "{q}: {ops:?}"
+                );
+                assert_eq!(
+                    PhysicalPlan::compile(&shape).execute(&state),
+                    expr.eval(&state)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_diff_whose_copies_of_e_differ_stays_a_diff() {
+        let f = AlgebraExpr::Base {
+            name: "F".into(),
+            attrs: vec!["x".into(), "y".into()],
+        };
+        let other_f = AlgebraExpr::Select(
+            Box::new(f.clone()),
+            Condition::NeqAttr("x".into(), "y".into()),
+        );
+        let s = AlgebraExpr::Base {
+            name: "S".into(),
+            attrs: vec!["x".into()],
+        };
+        let e = AlgebraExpr::Diff(
+            Box::new(f),
+            Box::new(AlgebraExpr::Join(Box::new(other_f), Box::new(s))),
+        );
+        let state = chain(40);
+        let ops = op_labels(&state, &e);
+        assert!(ops.iter().any(|op| op == "diff"), "{ops:?}");
+        assert!(!ops.iter().any(|op| op.starts_with("anti-join")), "{ops:?}");
+        assert_eq!(PhysicalPlan::compile(&e).execute(&state), e.eval(&state));
     }
 }

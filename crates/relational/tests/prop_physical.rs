@@ -115,6 +115,87 @@ fn arb_expr() -> impl Strategy<Value = AlgebraExpr> {
     })
 }
 
+fn base(name: &str, attrs: &[&str]) -> AlgebraExpr {
+    AlgebraExpr::Base {
+        name: name.into(),
+        attrs: attrs.iter().map(|a| a.to_string()).collect(),
+    }
+}
+
+/// The anti-join shape `E − π(E ⋈ N)` (or `N ⋈ E`, with or without a
+/// projection permuting the columns back) over operands chosen to hit
+/// the lowering's edge cases: `N`'s attributes permuted against `E`'s, a
+/// zero-arity `N` (and `E`), a selection inside `E` (`R(x, x)`), and a
+/// covering map that duplicates a column. When the chosen `N` is not
+/// covered by `E`'s attributes, the zero-arity `N` stands in.
+fn arb_anti_join() -> impl Strategy<Value = AlgebraExpr> {
+    let project = |e: AlgebraExpr, attrs: &[&str]| {
+        AlgebraExpr::Project(Box::new(e), attrs.iter().map(|a| a.to_string()).collect())
+    };
+    let extend = |e: AlgebraExpr, new: &str, src: &str| {
+        AlgebraExpr::Extend(Box::new(e), new.into(), src.into())
+    };
+    let es = [
+        base("R", &["x", "y"]),
+        project(
+            extend(
+                extend(base("R", &["@R_0", "@R_1"]), "x", "@R_0"),
+                "y",
+                "@R_1",
+            ),
+            &["x", "y"],
+        ),
+        project(
+            extend(
+                AlgebraExpr::Select(
+                    Box::new(base("R", &["@R_0", "@R_1"])),
+                    Condition::EqAttr("@R_0".into(), "@R_1".into()),
+                ),
+                "x",
+                "@R_0",
+            ),
+            &["x"],
+        ),
+        extend(base("R", &["x", "y"]), "z", "x"),
+        AlgebraExpr::Join(
+            Box::new(base("R", &["x", "y"])),
+            Box::new(base("S", &["y"])),
+        ),
+        project(base("R", &["x", "y"]), &[]),
+    ];
+    let zero_arity_n = project(base("S", &["w"]), &[]);
+    let ns = [
+        base("R", &["y", "x"]),
+        base("S", &["x"]),
+        base("S", &["y"]),
+        project(extend(base("S", &["@S_0"]), "z", "@S_0"), &["z"]),
+        base("R", &["z", "x"]),
+        zero_arity_n.clone(),
+    ];
+    (0..es.len(), 0..ns.len(), any::<bool>(), any::<bool>()).prop_map(
+        move |(ei, ni, flip, permute)| {
+            let e = es[ei].clone();
+            let la = e.attrs();
+            let n = if ns[ni].attrs().iter().all(|a| la.contains(a)) {
+                ns[ni].clone()
+            } else {
+                zero_arity_n.clone()
+            };
+            let join = if flip {
+                AlgebraExpr::Join(Box::new(n), Box::new(e.clone()))
+            } else {
+                AlgebraExpr::Join(Box::new(e.clone()), Box::new(n))
+            };
+            let right = if permute {
+                AlgebraExpr::Project(Box::new(join), la.iter().rev().cloned().collect())
+            } else {
+                join
+            };
+            AlgebraExpr::Diff(Box::new(e), Box::new(right))
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -199,6 +280,31 @@ proptest! {
             .relation;
         prop_assert_eq!(&sequential, &parallel,
             "parallel ≠ sequential: {:?} ({} threads, morsel {})", expr, threads, morsel_rows);
+    }
+
+    /// The hash anti-join equals the naive difference at every thread
+    /// count and morsel size, and the shape really lowers to it.
+    #[test]
+    fn anti_join_matches_naive_at_any_schedule(
+        state in arb_state(),
+        expr in arb_anti_join(),
+        threads in 1usize..=8,
+        morsel_rows in 1usize..=4,
+    ) {
+        let naive = expr.eval(&state);
+        let plan = PhysicalPlan::compile(&expr);
+        let inline = plan.execute_with_stats(&state);
+        prop_assert!(
+            inline.operators.iter().any(|op| op.op.starts_with("anti-join")),
+            "not lowered to an anti-join: {:?} → {:?}", expr, inline.operators
+        );
+        prop_assert_eq!(&naive, &inline.relation, "anti-join ≠ naive: {:?}", expr);
+        let engine = Engine::new(EngineConfig { threads, ..EngineConfig::default() });
+        let parallel = plan
+            .execute_with_stats_on(&state, &engine, ExecOpts { morsel_rows })
+            .relation;
+        prop_assert_eq!(&naive, &parallel,
+            "parallel anti-join ≠ naive: {:?} ({} threads, morsel {})", expr, threads, morsel_rows);
     }
 
     #[test]

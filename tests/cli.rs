@@ -16,25 +16,54 @@ fn fq(args: &[&str]) -> (String, String, bool) {
     )
 }
 
-fn fathers_json() -> String {
-    let dir = std::env::temp_dir().join("fq-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("fathers.json");
-    std::fs::write(
-        &path,
-        r#"{
+/// A scratch directory private to one test (the test's name plus the
+/// process id), created empty and removed on drop, so tests that
+/// `cargo test` runs in parallel never rewrite each other's files.
+struct TestDir(std::path::PathBuf);
+
+impl TestDir {
+    fn new(test: &str) -> TestDir {
+        let dir = std::env::temp_dir().join(format!("fq-cli-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TestDir(dir)
+    }
+
+    /// The path of `name` inside the directory, as a CLI argument.
+    fn path(&self, name: &str) -> String {
+        self.0.join(name).to_string_lossy().to_string()
+    }
+
+    /// Write `contents` to `name` inside the directory; returns its path.
+    fn write(&self, name: &str, contents: &str) -> String {
+        let path = self.path(name);
+        std::fs::write(&path, contents).unwrap();
+        path
+    }
+
+    /// The three-fact fathers state, written into the directory.
+    fn fathers_json(&self) -> String {
+        self.write(
+            "fathers.json",
+            r#"{
   "schema": { "relations": { "F": 2 }, "constants": [] },
   "relations": { "F": [[{"Nat":1},{"Nat":2}],[{"Nat":1},{"Nat":3}],[{"Nat":2},{"Nat":4}]] },
   "constants": {}
 }"#,
-    )
-    .unwrap();
-    path.to_string_lossy().to_string()
+        )
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 #[test]
 fn check_reports_safe_range() {
-    let state = fathers_json();
+    let tmp = TestDir::new("check_reports_safe_range");
+    let state = tmp.fathers_json();
     let (out, _, ok) = fq(&["check", &state, "exists y z. y != z & F(x,y) & F(x,z)"]);
     assert!(ok);
     assert!(out.contains("safe-range"));
@@ -45,7 +74,8 @@ fn check_reports_safe_range() {
 
 #[test]
 fn eval_prints_answer_table() {
-    let state = fathers_json();
+    let tmp = TestDir::new("eval_prints_answer_table");
+    let state = tmp.fathers_json();
     let (out, _, ok) = fq(&["eval", &state, "exists y. F(x, y) & F(y, z)"]);
     assert!(ok);
     assert!(out.contains("x\tz"));
@@ -54,7 +84,8 @@ fn eval_prints_answer_table() {
 
 #[test]
 fn safe_distinguishes_domains() {
-    let state = fathers_json();
+    let tmp = TestDir::new("safe_distinguishes_domains");
+    let state = tmp.fathers_json();
     let (out, _, ok) = fq(&["safe", &state, "!F(x, y)", "eq"]);
     assert!(ok, "{out}");
     assert!(out.contains("INFINITE"));
@@ -273,11 +304,8 @@ fn plan_json_is_machine_readable() {
 
 #[test]
 fn bad_schema_file_reports_both_parse_failures() {
-    let dir = std::env::temp_dir().join("fq-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bad.json");
-    std::fs::write(&path, r#"{"neither": "schema nor state"}"#).unwrap();
-    let path = path.to_string_lossy().to_string();
+    let tmp = TestDir::new("bad_schema_file_reports_both_parse_failures");
+    let path = tmp.write("bad.json", r#"{"neither": "schema nor state"}"#);
     let (_, err, ok) = fq(&["check", &path, "F(x, y)"]);
     assert!(!ok, "a bad schema file must fail the command");
     assert!(
@@ -292,19 +320,15 @@ fn bad_schema_file_reports_both_parse_failures() {
 
 #[test]
 fn malformed_arity_state_reports_diagnostic_not_panic() {
-    let dir = std::env::temp_dir().join("fq-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bad-arity.json");
-    std::fs::write(
-        &path,
+    let tmp = TestDir::new("malformed_arity_state_reports_diagnostic_not_panic");
+    let path = tmp.write(
+        "bad-arity.json",
         r#"{
   "schema": { "relations": { "F": 2 }, "constants": [] },
   "relations": { "F": [[{"Nat":1},{"Nat":2}],[{"Nat":7}]] },
   "constants": {}
 }"#,
-    )
-    .unwrap();
-    let path = path.to_string_lossy().to_string();
+    );
     let (_, err, ok) = fq(&["eval", &path, "F(x, y)"]);
     assert!(!ok, "a scheme-violating state must fail the command");
     assert!(
@@ -328,11 +352,10 @@ fn explain_reports_storage_counters() {
 
 #[test]
 fn convert_round_trips_and_snapshot_loads_everywhere() {
-    let dir = std::env::temp_dir().join("fq-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let json_in = fathers_json();
-    let snap = dir.join("fathers.fqsnap").to_string_lossy().to_string();
-    let json_out = dir.join("fathers-back.json").to_string_lossy().to_string();
+    let tmp = TestDir::new("convert_round_trips_and_snapshot_loads_everywhere");
+    let json_in = tmp.fathers_json();
+    let snap = tmp.path("fathers.fqsnap");
+    let json_out = tmp.path("fathers-back.json");
 
     // JSON -> snapshot.
     let (out, err, ok) = fq(&["convert", &json_in, &snap]);
@@ -370,17 +393,16 @@ fn convert_round_trips_and_snapshot_loads_everywhere() {
 
 #[test]
 fn convert_diagnoses_future_version() {
-    let dir = std::env::temp_dir().join("fq-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let json_in = fathers_json();
-    let snap = dir.join("future.fqsnap").to_string_lossy().to_string();
+    let tmp = TestDir::new("convert_diagnoses_future_version");
+    let json_in = tmp.fathers_json();
+    let snap = tmp.path("future.fqsnap");
     let (_, err, ok) = fq(&["convert", &json_in, &snap]);
     assert!(ok, "{err}");
     // Patch the version byte (right after the 7-byte magic) to 99.
     let mut bytes = std::fs::read(&snap).unwrap();
     bytes[7] = 99;
     std::fs::write(&snap, &bytes).unwrap();
-    let out = dir.join("future-out.json").to_string_lossy().to_string();
+    let out = tmp.path("future-out.json");
     let (_, err, ok) = fq(&["convert", &snap, &out]);
     assert!(!ok, "a future-version snapshot must fail the command");
     assert!(
@@ -392,15 +414,14 @@ fn convert_diagnoses_future_version() {
 
 #[test]
 fn convert_diagnoses_truncated_snapshot() {
-    let dir = std::env::temp_dir().join("fq-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let json_in = fathers_json();
-    let snap = dir.join("trunc.fqsnap").to_string_lossy().to_string();
+    let tmp = TestDir::new("convert_diagnoses_truncated_snapshot");
+    let json_in = tmp.fathers_json();
+    let snap = tmp.path("trunc.fqsnap");
     let (_, err, ok) = fq(&["convert", &json_in, &snap]);
     assert!(ok, "{err}");
     let bytes = std::fs::read(&snap).unwrap();
     std::fs::write(&snap, &bytes[..bytes.len() / 2]).unwrap();
-    let out = dir.join("trunc-out.json").to_string_lossy().to_string();
+    let out = tmp.path("trunc-out.json");
     let (_, err, ok) = fq(&["convert", &snap, &out]);
     assert!(!ok, "a truncated snapshot must fail the command");
     assert!(
@@ -469,10 +490,9 @@ fn serve_request(port: u16, line: &str) -> fq_json::Value {
 /// `fq recover` reports the same story offline.
 #[test]
 fn durable_serve_survives_sigkill_with_identical_fingerprint() {
-    let dir = std::env::temp_dir().join(format!("fq-cli-durable-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let data = dir.join("data").to_string_lossy().to_string();
-    let state = fathers_json();
+    let tmp = TestDir::new("durable_serve_survives_sigkill_with_identical_fingerprint");
+    let data = tmp.path("data");
+    let state = tmp.fathers_json();
 
     let mut serve = spawn_serve(&[&state, "--data-dir", &data, "--durability", "always"]);
     let ingested = serve_request(
@@ -530,14 +550,14 @@ fn durable_serve_survives_sigkill_with_identical_fingerprint() {
     assert!(out.contains("recovered:   epoch 2"), "{out}");
     assert!(out.contains("fingerprint: 0x"), "{out}");
     assert!(out.contains("replayed:    2 delta record(s)"), "{out}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Rejected ingests must surface the `StateError` diagnostic verbatim
 /// plus structured fields — debuggable from the client side.
 #[test]
 fn serve_ingest_errors_are_structured_over_tcp() {
-    let state = fathers_json();
+    let tmp = TestDir::new("serve_ingest_errors_are_structured_over_tcp");
+    let state = tmp.fathers_json();
     let mut serve = spawn_serve(&[&state]);
     let response = serve_request(
         serve.port,
@@ -565,10 +585,9 @@ fn serve_ingest_errors_are_structured_over_tcp() {
 
 #[test]
 fn recover_compact_folds_the_log() {
-    let dir = std::env::temp_dir().join(format!("fq-cli-compact-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let data = dir.join("data").to_string_lossy().to_string();
-    let state = fathers_json();
+    let tmp = TestDir::new("recover_compact_folds_the_log");
+    let data = tmp.path("data");
+    let state = tmp.fathers_json();
 
     let mut serve = spawn_serve(&[&state, "--data-dir", &data]);
     for natural in [30, 31] {
@@ -592,18 +611,14 @@ fn recover_compact_folds_the_log() {
     assert!(ok, "{err}");
     assert!(out.contains("replayed:    0 delta record(s)"), "{out}");
     assert!(out.contains("recovered:   epoch 2"), "{out}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn recover_reports_missing_store() {
-    let dir = std::env::temp_dir().join(format!("fq-cli-nostore-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let (_, err, ok) = fq(&["recover", &dir.to_string_lossy()]);
+    let tmp = TestDir::new("recover_reports_missing_store");
+    let (_, err, ok) = fq(&["recover", &tmp.path("")]);
     assert!(!ok, "an empty directory is not a durable store");
     assert!(err.contains("no base snapshot"), "{err}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
