@@ -250,58 +250,6 @@ fn emit_report() {
         }
     }
 
-    // --- Parallel finish: per-relation merges on the worker pool. -----
-    // Staging is identical across configurations; only `finish` varies.
-    // Every thread count is equality-checked against the sequential
-    // finish before timing, and thread counts are encoded in the row
-    // ids so `bench_gate` compares like-for-like.
-    {
-        use fq_engine::{Engine, EngineConfig};
-        let n = 200_000;
-        let rows = trace_db_rows(n, 42);
-        let stage = || {
-            let mut b = StateBuilder::new(trace_db_schema());
-            for (rel, t) in &rows {
-                b.row_ref(rel, t);
-            }
-            b
-        };
-        let sequential = stage().finish();
-        let host_cores = fq_engine::available_threads();
-        for threads in [1usize, 2, 4] {
-            let engine = Engine::new(EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            });
-            assert_eq!(
-                stage().finish_with(&engine),
-                sequential,
-                "parallel finish drift at {threads} threads"
-            );
-            let mut times: Vec<u128> = (0..3)
-                .map(|_| {
-                    let b = stage();
-                    let start = Instant::now();
-                    b.finish_with(&engine);
-                    start.elapsed().as_micros()
-                })
-                .collect();
-            times.sort_unstable();
-            let t = times[times.len() / 2];
-            report.results.push(ExperimentResult {
-                id: format!("STO_parallel/finish_{threads}"),
-                reference: reference.clone(),
-                claim: format!(
-                    "StateBuilder::finish_with at {threads} thread(s) over the \
-                     {n}-row trace workload equals the sequential finish"
-                ),
-                observed: format!("{t} µs (median of 3, host has {host_cores} core(s))"),
-                pass: true,
-                millis: t / 1000,
-            });
-        }
-    }
-
     // --- Hash-join throughput on interned string keys. ----------------
     let single_key = AlgebraExpr::Join(
         Box::new(base("Run", &["m", "w", "p"])),

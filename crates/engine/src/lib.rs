@@ -127,14 +127,6 @@ impl Engine {
         })
     }
 
-    /// Engine with caching disabled (for cold-run baselines).
-    pub fn uncached(threads: usize) -> Self {
-        Engine::new(EngineConfig {
-            threads,
-            cache_capacity: 0,
-        })
-    }
-
     pub fn config(&self) -> EngineConfig {
         self.inner.config
     }
@@ -266,62 +258,6 @@ impl Engine {
         });
         self.return_workers(helpers);
         slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("all indices processed")
-            })
-            .collect()
-    }
-
-    /// [`Engine::parallel_map`] over **owned** items: each item is moved
-    /// into `f` exactly once, so workers can consume large buffers
-    /// (staged relation batches, morsel outputs) without cloning them.
-    /// Results come back **in input order**, identically to the
-    /// sequential `items.into_iter().map(f)` loop.
-    pub fn parallel_map_owned<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        let n = items.len();
-        let want = self.inner.config.threads.min(n).saturating_sub(1);
-        let helpers = if n < 2 || want == 0 {
-            0
-        } else {
-            self.borrow_workers(want)
-        };
-        if helpers == 0 {
-            return items.into_iter().map(f).collect();
-        }
-        // Items are parked in take-once slots; each worker claims the
-        // next index, takes the item, and writes the result slot.
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let work = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let item = slots[i]
-                .lock()
-                .expect("item slot poisoned")
-                .take()
-                .expect("each index claimed once");
-            let value = f(item);
-            *results[i].lock().expect("result slot poisoned") = Some(value);
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..helpers {
-                scope.spawn(work);
-            }
-            work();
-        });
-        self.return_workers(helpers);
-        results
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
@@ -559,20 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_owned_moves_items_and_keeps_order() {
-        let items: Vec<Vec<u64>> = (0..100).map(|i| vec![i; 3]).collect();
-        let expected: Vec<u64> = items.iter().map(|v| v.iter().sum()).collect();
-        for threads in [1, 2, 4] {
-            let engine = Engine::new(EngineConfig {
-                threads,
-                cache_capacity: 0,
-            });
-            let got = engine.parallel_map_owned(items.clone(), |v| v.into_iter().sum::<u64>());
-            assert_eq!(got, expected, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn nested_parallel_maps_stay_within_budget() {
         let engine = Engine::new(EngineConfig {
             threads: 4,
@@ -620,7 +542,10 @@ mod tests {
         assert_eq!((calls, calls2), (1, 0));
         assert_eq!(engine.cache_stats(), (1, 1));
 
-        let cold = Engine::uncached(1);
+        let cold = Engine::new(EngineConfig {
+            threads: 1,
+            cache_capacity: 0,
+        });
         let mut cold_calls = 0;
         for _ in 0..3 {
             cold.cached("t", 7u64, || {

@@ -203,11 +203,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`parse`] accepts; deeper input is
+/// a parse error. The parser, and every walk over the [`Value`] it
+/// builds (drop included), recurses once per level, so the bound keeps
+/// one request line from exhausting a server thread's stack. Documents
+/// the workspace writes nest at most 5 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(JsonError::at("trailing characters", pos));
@@ -231,10 +238,15 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
+/// Parse one value inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(JsonError::at("unexpected end of input", *pos)),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(JsonError::at(
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+            *pos,
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut members = Vec::new();
@@ -247,7 +259,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
                 skip_ws(bytes, pos);
                 let key = parse_string(bytes, pos)?;
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -269,7 +281,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -547,6 +559,20 @@ pub fn member<'v>(value: &'v Value, key: &str) -> Result<&'v Value, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_past_the_bound_is_a_parse_error() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        for deep in [
+            arrays(MAX_DEPTH + 1),
+            "[".repeat(100_000),
+            "{\"a\":".repeat(100_000),
+        ] {
+            let e = parse(&deep).unwrap_err();
+            assert!(e.message.contains("nesting deeper than"), "{e}");
+        }
+    }
 
     #[test]
     fn parse_and_print_round_trip() {

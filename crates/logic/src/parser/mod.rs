@@ -22,6 +22,8 @@
 //! in term position it is a variable / named constant / function application.
 //! The pretty-printer in [`crate::formula`] emits exactly this syntax, and
 //! `parse(print(f)) == f` is property-tested.
+//!
+//! Input nesting deeper than [`MAX_NESTING`] levels is a parse error.
 
 mod lexer;
 
@@ -31,10 +33,17 @@ use crate::error::LogicError;
 use crate::formula::Formula;
 use crate::term::Term;
 
+/// The deepest nesting the parser accepts. Every `(` group, `!`,
+/// quantified variable, `->` operand, argument list, and step of a
+/// left-associative chain (`<->`, `+`, `-`, `*`, `'`) opens one level,
+/// so the syntax tree is at most this deep. The parser, and every pass
+/// over a formula after it, recurses once per level: the bound keeps
+/// one request line from exhausting a server thread's stack.
+pub const MAX_NESTING: usize = 128;
+
 /// Parse a formula from its concrete syntax.
 pub fn parse_formula(input: &str) -> Result<Formula, LogicError> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(input)?;
     let f = p.formula()?;
     p.expect(TokenKind::Eof)?;
     Ok(f)
@@ -42,8 +51,7 @@ pub fn parse_formula(input: &str) -> Result<Formula, LogicError> {
 
 /// Parse a term from its concrete syntax.
 pub fn parse_term(input: &str) -> Result<Term, LogicError> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(input)?;
     let t = p.term()?;
     p.expect(TokenKind::Eof)?;
     Ok(t)
@@ -52,9 +60,48 @@ pub fn parse_term(input: &str) -> Result<Term, LogicError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels open at `pos` (see [`MAX_NESTING`]).
+    depth: usize,
+    /// Set once input nests past the bound: no backtracking rescues it.
+    too_deep: bool,
 }
 
 impl Parser {
+    fn new(input: &str) -> Result<Parser, LogicError> {
+        Ok(Parser {
+            tokens: tokenize(input)?,
+            pos: 0,
+            depth: 0,
+            too_deep: false,
+        })
+    }
+
+    /// Open one nesting level. The caller restores `depth` once its
+    /// subtree is built; an error abandons the parse (or, in `atom`,
+    /// is backtracked together with the position).
+    fn descend(&mut self) -> Result<(), LogicError> {
+        if self.depth == MAX_NESTING {
+            self.too_deep = true;
+            return Err(LogicError::parse(
+                self.offset(),
+                format!("nesting deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Run `parse` one nesting level down.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, LogicError>,
+    ) -> Result<T, LogicError> {
+        self.descend()?;
+        let out = parse(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -93,10 +140,14 @@ impl Parser {
             if kw == "exists" || kw == "forall" {
                 let is_exists = kw == "exists";
                 self.bump();
+                let depth = self.depth;
                 let mut vars = Vec::new();
                 loop {
                     match self.bump() {
-                        TokenKind::Ident(v) => vars.push(v),
+                        TokenKind::Ident(v) => {
+                            self.descend()?;
+                            vars.push(v);
+                        }
                         other => {
                             return Err(LogicError::parse(
                                 self.offset(),
@@ -113,6 +164,7 @@ impl Parser {
                     }
                 }
                 let body = self.formula()?;
+                self.depth = depth;
                 return Ok(if is_exists {
                     Formula::exists_many(vars, body)
                 } else {
@@ -124,12 +176,15 @@ impl Parser {
     }
 
     fn iff(&mut self) -> Result<Formula, LogicError> {
+        let depth = self.depth;
         let mut left = self.implies()?;
         while *self.peek() == TokenKind::DArrow {
             self.bump();
+            self.descend()?;
             let right = self.implies()?;
             left = Formula::iff(left, right);
         }
+        self.depth = depth;
         Ok(left)
     }
 
@@ -138,7 +193,7 @@ impl Parser {
         if *self.peek() == TokenKind::Arrow {
             self.bump();
             // Right-associative; allow a quantifier on the right-hand side.
-            let right = self.formula_rhs()?;
+            let right = self.nested(Self::formula_rhs)?;
             Ok(Formula::implies(left, right))
         } else {
             Ok(left)
@@ -155,7 +210,7 @@ impl Parser {
         let left = self.or()?;
         if *self.peek() == TokenKind::Arrow {
             self.bump();
-            let right = self.formula_rhs()?;
+            let right = self.nested(Self::formula_rhs)?;
             Ok(Formula::implies(left, right))
         } else {
             Ok(left)
@@ -194,7 +249,7 @@ impl Parser {
         match self.peek() {
             TokenKind::Bang => {
                 self.bump();
-                let inner = self.unary()?;
+                let inner = self.nested(Self::unary)?;
                 Ok(Formula::Not(Box::new(inner)))
             }
             TokenKind::Ident(kw) if kw == "exists" || kw == "forall" => self.formula(),
@@ -221,18 +276,21 @@ impl Parser {
         // scanning — simplest correct approach is to attempt a formula parse
         // and backtrack to a term comparison on failure.
         if *self.peek() == TokenKind::LParen {
-            let save = self.pos;
+            let save = (self.pos, self.depth);
             self.bump();
-            if let Ok(f) = self.formula() {
-                if *self.peek() == TokenKind::RParen {
+            match self.nested(Self::formula) {
+                Ok(f) if *self.peek() == TokenKind::RParen => {
                     self.bump();
                     // `(formula)` not followed by a comparison operator.
                     if !self.peek_is_comparison() && !self.peek_is_term_operator() {
                         return Ok(f);
                     }
                 }
+                // As deep a term would be too deep as well.
+                Err(e) if self.too_deep => return Err(e),
+                _ => {}
             }
-            self.pos = save;
+            (self.pos, self.depth) = save;
         }
         let left = self.term()?;
         let op = match self.peek() {
@@ -288,41 +346,45 @@ impl Parser {
     }
 
     fn term(&mut self) -> Result<Term, LogicError> {
+        let depth = self.depth;
         let mut left = self.addend()?;
         loop {
-            match self.peek() {
-                TokenKind::Plus => {
-                    self.bump();
-                    let right = self.addend()?;
-                    left = Term::app2("+", left, right);
-                }
-                TokenKind::Minus => {
-                    self.bump();
-                    let right = self.addend()?;
-                    left = Term::app2("-", left, right);
-                }
+            let op = match self.peek() {
+                TokenKind::Plus => "+",
+                TokenKind::Minus => "-",
                 _ => break,
-            }
+            };
+            self.bump();
+            self.descend()?;
+            let right = self.addend()?;
+            left = Term::app2(op, left, right);
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn addend(&mut self) -> Result<Term, LogicError> {
+        let depth = self.depth;
         let mut left = self.factor()?;
         while *self.peek() == TokenKind::Star {
             self.bump();
+            self.descend()?;
             let right = self.factor()?;
             left = Term::app2("*", left, right);
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn factor(&mut self) -> Result<Term, LogicError> {
+        let depth = self.depth;
         let mut t = self.primary()?;
         while *self.peek() == TokenKind::Prime {
             self.bump();
+            self.descend()?;
             t = t.succ();
         }
+        self.depth = depth;
         Ok(t)
     }
 
@@ -336,7 +398,7 @@ impl Parser {
                     let mut args = Vec::new();
                     if *self.peek() != TokenKind::RParen {
                         loop {
-                            args.push(self.term()?);
+                            args.push(self.nested(Self::term)?);
                             if *self.peek() == TokenKind::Comma {
                                 self.bump();
                             } else {
@@ -351,7 +413,7 @@ impl Parser {
                 }
             }
             TokenKind::LParen => {
-                let t = self.term()?;
+                let t = self.nested(Self::term)?;
                 self.expect(TokenKind::RParen)?;
                 Ok(t)
             }
@@ -492,6 +554,31 @@ mod tests {
         let f = parse_formula("forall x y. x = y -> y = x").unwrap();
         assert_eq!(f.quantifier_depth(), 2);
         assert!(f.is_sentence());
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_parse_error() {
+        let parens = |n: usize| format!("{}F(x){}", "(".repeat(n), ")".repeat(n));
+        // `F(x)`'s argument list is the last level.
+        assert!(parse_formula(&parens(MAX_NESTING - 1)).is_ok());
+        assert!(parse_term(&format!("x{}", "'".repeat(MAX_NESTING))).is_ok());
+        let vars: Vec<String> = (0..=MAX_NESTING).map(|i| format!("v{i}")).collect();
+        for deep in [
+            parens(MAX_NESTING),
+            format!("{}F(x)", "!".repeat(100_000)),
+            format!("{}F(x){}", "!(".repeat(100_000), ")".repeat(100_000)),
+            format!("exists {}. F(x)", vars.join(" ")),
+            format!("F(x){}", " <-> F(x)".repeat(MAX_NESTING + 1)),
+            format!("F(x){}", " -> F(x)".repeat(MAX_NESTING + 1)),
+            format!("F(x) & y = x{}", " + x".repeat(100_000)),
+            format!("y = x{}", "'".repeat(MAX_NESTING + 1)),
+        ] {
+            let e = parse_formula(&deep).unwrap_err();
+            assert!(e.to_string().contains("nesting deeper than"), "{e}");
+        }
+        let e =
+            parse_term(&format!("{}x{}", "(".repeat(100_000), ")".repeat(100_000))).unwrap_err();
+        assert!(e.to_string().contains("nesting deeper than"), "{e}");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! The executor is agnostic to how its state was built: per-row
 //! (`with_tuple`, as below, fine for fixtures) or staged through
-//! [`fq_relational::StateBuilder`] / `State::load_bulk` when loading
+//! [`fq_relational::StateBuilder`] / `State::extend_bulk` when loading
 //! thousands of rows — the batch path merges each relation in one pass
 //! instead of splicing per row.
 //!

@@ -76,26 +76,7 @@ impl QueryService {
     /// Handle one request line, returning one response line (no
     /// trailing newline). Never panics on malformed input.
     pub fn handle_line(&self, line: &str) -> String {
-        let response = match self.handle(line) {
-            Ok(fields) => {
-                let mut members = vec![("ok".to_string(), Json::Bool(true))];
-                if let Json::Object(fields) = fields {
-                    members.extend(fields);
-                }
-                Json::Object(members)
-            }
-            Err(error) => {
-                // The error payload always carries `error` (the
-                // diagnostic, verbatim) and may carry structured fields
-                // (`error_kind`, the offending relation/arity, …).
-                let mut members = vec![("ok".to_string(), Json::Bool(false))];
-                if let Json::Object(fields) = error {
-                    members.extend(fields);
-                }
-                Json::Object(members)
-            }
-        };
-        response.to_compact()
+        respond(self.handle(line))
     }
 
     fn handle(&self, line: &str) -> Result<Json, Json> {
@@ -217,6 +198,22 @@ impl QueryService {
         }
         info
     }
+}
+
+/// One response line: `"ok":true` plus the verb's fields, or
+/// `"ok":false` plus the error payload, which always carries `error`
+/// (the diagnostic, verbatim) and may carry structured fields
+/// (`error_kind`, the offending relation/arity, …).
+fn respond(result: Result<Json, Json>) -> String {
+    let (ok, fields) = match result {
+        Ok(fields) => (true, fields),
+        Err(error) => (false, error),
+    };
+    let mut members = vec![("ok".to_string(), Json::Bool(ok))];
+    if let Json::Object(fields) = fields {
+        members.extend(fields);
+    }
+    Json::Object(members).to_compact()
 }
 
 /// An error payload carrying only the diagnostic text.
@@ -398,13 +395,23 @@ impl Server {
     /// Accept connections forever, one thread per connection. Each
     /// connection reads request lines and writes one response line per
     /// request; the thread exits when the client disconnects.
+    ///
+    /// A failed accept or thread spawn concerns one connection, not the
+    /// server: it is reported on stderr and the loop keeps listening,
+    /// after a short pause so that a persistent error (EMFILE while
+    /// every descriptor is taken) does not spin.
     pub fn run(self) -> io::Result<()> {
         for stream in self.listener.incoming() {
-            let stream = stream?;
             let service = Arc::clone(&self.service);
-            std::thread::spawn(move || {
-                let _ = serve_connection(&service, stream);
+            let served = stream.and_then(|stream| {
+                std::thread::Builder::new().spawn(move || {
+                    let _ = serve_connection(&service, stream);
+                })
             });
+            if let Err(e) = served {
+                eprintln!("fq serve: connection not served: {e}");
+                std::thread::sleep(ACCEPT_RETRY_PAUSE);
+            }
         }
         Ok(())
     }
@@ -420,24 +427,40 @@ impl Server {
     }
 }
 
+/// How long [`Server::run`] pauses after a connection it could not
+/// serve.
+const ACCEPT_RETRY_PAUSE: std::time::Duration = std::time::Duration::from_millis(50);
+
 fn serve_connection(service: &QueryService, stream: TcpStream) -> io::Result<()> {
     // The protocol is strictly request/response, one line each way;
     // Nagle's algorithm would hold every response hostage to the next
     // write (~40 ms per round trip on loopback).
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    // Raw lines, so that a line which is not UTF-8 gets an error
+    // response like any other malformed request instead of ending the
+    // connection.
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            return Ok(());
         }
-        let response = service.handle_line(&line);
+        let text = line.strip_suffix(b"\n").unwrap_or(&line);
+        let text = text.strip_suffix(b"\r").unwrap_or(text);
+        let response = match std::str::from_utf8(text) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => service.handle_line(text),
+            Err(e) => respond(Err(err_text(format!(
+                "request is not UTF-8 (invalid byte at offset {})",
+                e.valid_up_to()
+            )))),
+        };
         writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
     }
-    Ok(())
 }
 
 /// A minimal blocking client for the line/JSON protocol, used by the
@@ -627,6 +650,119 @@ mod tests {
         assert!(durability.get("log_bytes").and_then(Json::as_int).unwrap() > 8);
         drop(svc);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A line that is not UTF-8 is a malformed request like any other:
+    /// it gets an `ok:false` response and the same connection goes on
+    /// to answer a valid query.
+    #[test]
+    fn non_utf8_line_is_answered_and_keeps_the_connection() {
+        let addr = Server::bind(service(), ("127.0.0.1", 0))
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut exchange = |request: &[u8]| {
+            writer.write_all(request).unwrap();
+            writer.flush().unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            fq_json::parse(response.trim_end()).expect("one JSON response line")
+        };
+        let rejected = exchange(b"{\"cmd\":\"snap\xff\"}\n");
+        assert_eq!(rejected.get("ok").and_then(Json::as_bool), Some(false));
+        let error = rejected.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("request is not UTF-8"), "{error}");
+        assert!(error.contains("offset 12"), "{error}");
+        let answered = exchange(b"{\"cmd\":\"query\",\"query\":\"F(x, y)\",\"domain\":\"eq\"}\r\n");
+        assert_eq!(answered.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(
+            answered.get("rows").and_then(Json::as_array).unwrap().len(),
+            2
+        );
+    }
+
+    /// Request lines nested as deep as the two parsers accept are
+    /// answered on a thread with the default 2 MiB stack, and one level
+    /// deeper is an ordinary parse error — never a stack overflow.
+    #[test]
+    fn nesting_limits_are_answered_on_a_default_stack() {
+        use fq_logic::parser::MAX_NESTING;
+        fn wrap(open: &str, inner: &str, close: &str, levels: usize) -> String {
+            format!("{}{inner}{}", open.repeat(levels), close.repeat(levels))
+        }
+        fn query(formula: &str) -> String {
+            format!(
+                "{{\"cmd\":\"query\",\"query\":{}}}",
+                fq_json::to_string(&formula.to_string())
+            )
+        }
+        fn shape(name: &str, n: usize) -> String {
+            match name {
+                "not" => wrap("!(", "F(x, y)", ")", n),
+                "exists" => wrap("(exists z. F(x, z) & ", "F(x, y)", ")", n),
+                "and" => wrap("(F(x, y) & ", "F(x, y)", ")", n),
+                "paren" => wrap("(", "F(x, y)", ")", n),
+                _ => format!("F(x, y) & y = {}", wrap("x + (", "x", ")", n)),
+            }
+        }
+        // Each shape at its deepest accepted level count: `!(`, a group
+        // holding a quantifier, and `x + (` open two levels each, a
+        // plain group one, and `F(x, y)`'s argument list one more.
+        let mut cases = Vec::new();
+        for (name, deepest) in [
+            ("not", (MAX_NESTING - 1) / 2),
+            ("exists", (MAX_NESTING - 1) / 2),
+            ("and", MAX_NESTING - 1),
+            ("paren", MAX_NESTING - 1),
+            ("term", MAX_NESTING / 2),
+        ] {
+            for (levels, accepted) in [(deepest, true), (deepest + 1, false)] {
+                cases.push((
+                    format!("{name} x{levels}"),
+                    query(&shape(name, levels)),
+                    accepted,
+                ));
+            }
+        }
+        let json = |levels| {
+            format!(
+                "{{\"cmd\":\"snapshot-info\",\"pad\":{}}}",
+                wrap("[", "", "]", levels)
+            )
+        };
+        // The request object itself is the first level.
+        cases.push(("json".into(), json(fq_json::MAX_DEPTH - 1), true));
+        cases.push(("json +1".into(), json(fq_json::MAX_DEPTH), false));
+
+        let svc = service();
+        let answers = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                cases
+                    .into_iter()
+                    .map(|(name, line, accepted)| (name, svc.handle_line(&line), accepted))
+                    .collect::<Vec<_>>()
+            })
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        for (name, response, accepted) in answers {
+            let json = fq_json::parse(&response).unwrap();
+            let ok = json.get("ok").and_then(Json::as_bool);
+            let error = json.get("error").and_then(Json::as_str).unwrap_or("");
+            if accepted {
+                assert_eq!(ok, Some(true), "{name}: {response}");
+            } else {
+                assert_eq!(ok, Some(false), "{name}: {response}");
+                assert!(error.contains("nesting deeper than"), "{name}: {error}");
+            }
+        }
     }
 
     #[test]

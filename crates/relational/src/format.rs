@@ -63,8 +63,8 @@
 //! corruption; sortedness of adopted columns is re-asserted in debug
 //! builds only.)
 //!
-//! Consumers: every load path (`fq` CLI, `State::load_bulk`, serve)
-//! auto-detects the format via [`is_snapshot`], `fq convert`
+//! Consumers: every load path (`fq` CLI, serve) auto-detects the
+//! format via [`is_snapshot`], `fq convert`
 //! translates to and from JSON, and the durability layer
 //! ([`crate::wal`]) uses full snapshots as the **base** files of its
 //! epoch-delta log — `base-<epoch>.fqsnap` written on store creation

@@ -16,17 +16,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// `HashMap` alias using [`FxHasher`].
 pub type FxMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// `HashSet` alias using [`FxHasher`].
-pub type FxSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
-
 /// An [`FxMap`] with preallocated capacity.
 pub fn map_with_capacity<K, V>(capacity: usize) -> FxMap<K, V> {
     FxMap::with_capacity_and_hasher(capacity, Default::default())
-}
-
-/// An [`FxSet`] with preallocated capacity.
-pub fn set_with_capacity<T>(capacity: usize) -> FxSet<T> {
-    FxSet::with_capacity_and_hasher(capacity, Default::default())
 }
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;

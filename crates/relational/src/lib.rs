@@ -27,10 +27,10 @@
 //! * [`val`] — the columnar interned storage core underneath it all:
 //!   one-word values, a per-state string dictionary, and flat sorted
 //!   relations with two writer paths — single-row [`State::insert`] for
-//!   interactive mutation, and the batch pipeline
-//!   ([`StateBuilder`], [`State::load_bulk`], [`State::extend_bulk`])
-//!   that stages rows and merges each relation in one
-//!   sort-dedupe-merge pass for linear-time bulk loads;
+//!   interactive mutation, and the batch pipeline ([`StateBuilder`],
+//!   [`State::extend_bulk`]) that stages rows and merges each relation
+//!   in one pass (an already-sorted batch is adopted without sorting)
+//!   for O(n log n) bulk loads;
 //! * [`snapshot`] — the concurrency story: [`SharedState`] publishes
 //!   immutable epoch-stamped [`Snapshot`]s atomically (copy-on-write,
 //!   readers never blocked), which is what `fq serve` runs on;

@@ -39,12 +39,12 @@
 //! # Morsels
 //!
 //! Each operator is written once, as the body that processes one
-//! **morsel**: a contiguous, stride-aligned row range of its input. When
-//! [`PhysicalPlan::execute_on`] runs on an [`Engine`] with ≥ 2 threads
-//! and the input spans ≥ 2 morsels, the morsels run on the worker pool
-//! and their outputs are stitched back **in morsel order**, which equals
-//! one left-to-right scan; otherwise the whole input is one morsel, run
-//! inline. Hash-table builds are **partitioned** across the pool by key
+//! **morsel**: a contiguous, stride-aligned row range of its input.
+//! When [`PhysicalPlan::execute_with_stats_on`] runs on an [`Engine`]
+//! with ≥ 2 threads and the input spans ≥ 2 morsels, the morsels run on
+//! the worker pool and their outputs are stitched back **in morsel
+//! order**, which equals one left-to-right scan; otherwise the whole
+//! input is one morsel, run inline. Hash-table builds are **partitioned** across the pool by key
 //! hash: a key lives in exactly one shard, so its row chain equals the
 //! single table's. Narrowing dedup keeps each morsel's first
 //! occurrences, then shard workers claim the global first occurrences in
@@ -235,14 +235,9 @@ impl PhysicalPlan {
         self.exec(state, &Engine::sequential(), ExecOpts::default())
     }
 
-    /// Execute morsel-driven on `engine`'s worker pool. Output is
-    /// bit-identical to [`PhysicalPlan::execute`] at any thread count.
-    pub fn execute_on(&self, state: &State, engine: &Engine) -> Relation {
-        self.execute_with_stats_on(state, engine, ExecOpts::default())
-            .relation
-    }
-
-    /// [`PhysicalPlan::execute_on`] with statistics and tuning knobs.
+    /// Execute morsel-driven on `engine`'s worker pool, with statistics
+    /// and tuning knobs. Output is bit-identical to
+    /// [`PhysicalPlan::execute`] at any thread count and morsel size.
     pub fn execute_with_stats_on(
         &self,
         state: &State,

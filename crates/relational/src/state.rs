@@ -11,11 +11,12 @@
 //! [`State::try_insert`]) routes each tuple through the O(rows)
 //! single-row [`VRel::insert`]. Bulk construction — the JSON loader,
 //! generated workloads, anything past a few thousand rows — goes
-//! through [`StateBuilder`] (or the [`State::load_bulk`] /
-//! [`State::extend_bulk`] conveniences), which stages encoded rows flat
-//! and hands each relation one sort-dedupe-merge batch, making loads
-//! O(n log n) instead of quadratic. Both tiers share the same
-//! validation ([`StateError`]) and produce identical states.
+//! through [`StateBuilder`] (or [`State::extend_bulk`] for one
+//! relation), which stages encoded rows flat and hands each relation
+//! one batch: adopted when already sorted, sort-dedupe-merged
+//! otherwise, so loads are O(n log n) instead of quadratic. Both tiers
+//! share the same validation ([`StateError`]) and produce identical
+//! states.
 
 use crate::schema::Schema;
 use crate::val::{self, ColStats, Dict, VRel, Val};
@@ -424,33 +425,8 @@ impl State {
         })
     }
 
-    /// Load a whole state through the batch ingestion path: every
-    /// relation's tuples are interned and merged as one batch. The
-    /// first scheme violation aborts the load, with the same
-    /// [`StateError`] diagnostics as [`State::try_insert`] /
-    /// [`State::try_set_constant`].
-    pub fn load_bulk<R, T, C>(
-        schema: Schema,
-        relations: R,
-        constants: C,
-    ) -> Result<State, StateError>
-    where
-        R: IntoIterator<Item = (String, T)>,
-        T: IntoIterator<Item = Tuple>,
-        C: IntoIterator<Item = (String, Value)>,
-    {
-        let mut builder = StateBuilder::new(schema);
-        for (name, tuples) in relations {
-            builder.try_rows(&name, tuples)?;
-        }
-        for (name, v) in constants {
-            builder.try_constant(&name, v)?;
-        }
-        Ok(builder.finish())
-    }
-
     /// Append a batch of tuples to one relation through the batch path:
-    /// one interning pass, one sort-dedupe-merge. Returns the number of
+    /// one interning pass, one merge. Returns the number of
     /// tuples that were new. Equivalent to (but much faster than)
     /// calling [`State::try_insert`] per tuple.
     pub fn extend_bulk<I>(&mut self, relation: &str, tuples: I) -> Result<usize, StateError>
@@ -585,14 +561,6 @@ impl State {
         crate::format::write(self)
     }
 
-    /// Write the snapshot serialization to `w`, returning the number
-    /// of bytes written.
-    pub fn write_snapshot<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<usize> {
-        let bytes = self.snapshot_bytes();
-        w.write_all(&bytes)?;
-        Ok(bytes.len())
-    }
-
     /// Load a state from snapshot bytes. Corruption in any form —
     /// wrong magic, future version, truncation, bit flips, dangling
     /// dictionary ids — is a diagnosed [`StateError`], never a panic.
@@ -642,8 +610,8 @@ impl State {
 /// (so [`StateError`] diagnostics fire at the offending row, exactly as
 /// [`State::try_insert`] would), but are staged in flat per-relation
 /// buffers; [`StateBuilder::finish`] hands each relation a single
-/// sort-dedupe-merge batch. Loading `n` rows costs O(n log n) total,
-/// against the O(n²) worst case of an insert loop.
+/// batch. Loading `n` rows costs O(n log n) total, against the O(n²)
+/// worst case of an insert loop.
 ///
 /// ```
 /// use fq_relational::{Schema, State, StateBuilder, Value};
@@ -701,11 +669,6 @@ impl StateBuilder {
     /// The scheme being built against.
     pub fn schema(&self) -> &Schema {
         self.state.schema()
-    }
-
-    /// Number of staged rows, duplicates included.
-    pub fn staged_rows(&self) -> usize {
-        self.staged.values().map(|s| s.rows).sum()
     }
 
     /// Stage one tuple, validating it against the scheme.
@@ -788,97 +751,28 @@ impl StateBuilder {
 
     /// Merge every staged batch and return the finished state — equal
     /// (rows, stats, serialized form) to the state an insert loop over
-    /// the same tuples would have produced.
+    /// the same tuples would have produced. All staged rows are
+    /// interned, so every relation merges against the final dictionary
+    /// in one `merge_batches` call (which ranks it at most once).
     pub fn finish(self) -> State {
-        self.finish_inner(None)
-    }
-
-    /// [`StateBuilder::finish`] with the per-relation merges fanned out
-    /// on `engine`'s worker pool. Relations merge independently against
-    /// the final (read-only) dictionary and one shared rank table, so
-    /// the result is equal to the sequential path at any thread count.
-    pub fn finish_with(self, engine: &fq_engine::Engine) -> State {
-        self.finish_inner(Some(engine))
-    }
-
-    /// Finish and serialize in one call: the finished state plus its
-    /// snapshot bytes. The snapshot writer forces column stats, so
-    /// emitting a snapshot at build time costs the stats pass a loader
-    /// would otherwise pay on first query.
-    pub fn finish_snapshot(self) -> (State, Vec<u8>) {
-        let state = self.finish_inner(None);
-        let bytes = state.snapshot_bytes();
-        (state, bytes)
-    }
-
-    /// [`StateBuilder::finish_snapshot`] with the merges (and any
-    /// oversized relation's batch sort) fanned out on `engine`.
-    pub fn finish_snapshot_with(self, engine: &fq_engine::Engine) -> (State, Vec<u8>) {
-        let state = self.finish_inner(Some(engine));
-        let bytes = state.snapshot_bytes();
-        (state, bytes)
-    }
-
-    fn finish_inner(mut self, engine: Option<&fq_engine::Engine>) -> State {
-        // All staged rows are already interned, so the dictionary is
-        // final: if any staged batch is large enough for rank-key
-        // sorting to pay, rank the dictionary once and merge every
-        // relation through the shared table.
-        let keys = self
-            .staged
-            .values()
-            .any(|s| {
-                s.arity > 0
-                    && crate::val::batch_prefers_keys(s.rows, s.arity, self.state.dict.len())
-            })
-            .then(|| self.state.dict.sort_keys());
-        let dict: &Dict = &self.state.dict;
-        // Each worker consumes one relation's staged buffer and builds
-        // that relation's merged store from scratch (the state's stores
-        // are still empty at finish time — every row was staged).
-        let merge = |(name, s): (String, Staging)| -> (String, VRel) {
-            let mut rel = VRel::new(s.arity);
-            if s.arity == 0 {
-                if s.rows > 0 {
-                    rel.insert(&[], dict);
-                }
-            } else {
-                match (&keys, engine) {
-                    // One oversized relation is the case per-relation
-                    // fan-out can't split; sort its batch in parallel
-                    // chunks on the same pool (the engine's nested
-                    // thread budget arbitrates with the outer map).
-                    (Some(keys), Some(engine)) if s.rows >= val::PARALLEL_SORT_MIN_ROWS => {
-                        rel.extend_from_sorted_parallel(
-                            s.flat,
-                            keys,
-                            engine,
-                            val::PARALLEL_SORT_CHUNK_ROWS,
-                        );
-                    }
-                    (Some(keys), _) => {
-                        rel.extend_from_sorted_with(s.flat, keys);
-                    }
-                    (None, _) => {
-                        rel.extend_from_sorted(s.flat, dict);
-                    }
-                }
+        let StateBuilder { mut state, staged } = self;
+        let mut batches = Vec::with_capacity(staged.len());
+        // Staging buffers and stores are both keyed by the scheme's
+        // relation names, so the two maps walk in step.
+        for ((name, slot), (staged_name, s)) in state.relations.iter_mut().zip(staged) {
+            debug_assert_eq!(*name, staged_name);
+            let rel = Arc::make_mut(slot);
+            debug_assert_eq!(rel.rows(), 0, "rows bypass staging only through constants");
+            if s.arity > 0 {
+                batches.push((rel, s.flat));
+            } else if s.rows > 0 {
+                rel.insert(&[], &state.dict);
             }
-            (name, rel)
-        };
-        let staged: Vec<(String, Staging)> = std::mem::take(&mut self.staged).into_iter().collect();
-        let merged: Vec<(String, VRel)> = match engine {
-            Some(engine) => engine.parallel_map_owned(staged, merge),
-            None => staged.into_iter().map(merge).collect(),
-        };
-        for (name, rel) in merged {
-            let slot = self.state.relations.get_mut(&name).expect("validated");
-            debug_assert_eq!(slot.rows(), 0, "rows bypass staging only through constants");
-            *slot = Arc::new(rel);
         }
-        self.state.ad_cache.take();
-        self.state.fp_cache.take();
-        self.state
+        val::merge_batches(&state.dict, batches);
+        state.ad_cache.take();
+        state.fp_cache.take();
+        state
     }
 }
 
@@ -961,51 +855,12 @@ mod tests {
     use super::*;
     use fq_logic::parse_formula;
 
-    // Parallel executions and finishes share `&State` across scoped
-    // threads (stats are behind `OnceLock`s) — keep it `Sync`.
+    // Parallel executions share `&State` across scoped threads (stats
+    // are behind `OnceLock`s) — keep it `Sync`.
     const _: fn() = || {
         fn assert_sync<T: Sync>() {}
         assert_sync::<State>();
     };
-
-    #[test]
-    fn finish_with_equals_sequential_finish() {
-        use fq_engine::{Engine, EngineConfig};
-        let schema = Schema::new()
-            .with_relation("F", 2)
-            .with_relation("S", 1)
-            .with_relation("Z", 0)
-            .with_constant("c");
-        let build = || {
-            let mut b = StateBuilder::new(schema.clone());
-            for i in 0..300u64 {
-                b.row(
-                    "F",
-                    vec![Value::Nat(i % 50), Value::Str(format!("w{}", i % 31))],
-                );
-                if i % 3 == 0 {
-                    b.row("S", vec![Value::Nat(i)]);
-                }
-            }
-            b.row("Z", Vec::new());
-            b.constant("c", 7u64);
-            b
-        };
-        let sequential = build().finish();
-        for threads in [1, 2, 4, 8] {
-            let engine = Engine::new(EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            });
-            let parallel = build().finish_with(&engine);
-            assert_eq!(parallel, sequential, "finish_with at {threads} threads");
-            assert_eq!(
-                fq_json::to_string(&parallel),
-                fq_json::to_string(&sequential)
-            );
-            assert_eq!(parallel.column_stats("F"), sequential.column_stats("F"));
-        }
-    }
 
     fn fathers() -> State {
         let schema = Schema::new().with_relation("F", 2);
@@ -1162,7 +1017,6 @@ mod tests {
         for (rel, t) in &tuples {
             b.row(rel, t.clone());
         }
-        assert_eq!(b.staged_rows(), 4);
         b.constant("c", "run");
         let bulk = b.finish();
         assert_eq!(bulk, by_insert);
@@ -1195,20 +1049,19 @@ mod tests {
     }
 
     #[test]
-    fn load_bulk_and_extend_bulk_round_trip() {
+    fn builder_and_extend_bulk_round_trip() {
         let schema = Schema::new().with_relation("F", 2).with_constant("c");
-        let state = State::load_bulk(
-            schema.clone(),
-            [(
-                "F".to_string(),
-                vec![
-                    vec![Value::Nat(2), Value::Nat(3)],
-                    vec![Value::Nat(1), Value::Nat(2)],
-                ],
-            )],
-            [("c".to_string(), Value::Nat(9))],
+        let mut b = StateBuilder::new(schema);
+        b.try_rows(
+            "F",
+            vec![
+                vec![Value::Nat(2), Value::Nat(3)],
+                vec![Value::Nat(1), Value::Nat(2)],
+            ],
         )
         .unwrap();
+        b.try_constant("c", Value::Nat(9)).unwrap();
+        let state = b.finish();
         assert_eq!(state.size(), 2);
         assert_eq!(state.constant("c"), Some(&Value::Nat(9)));
         let mut state = state;

@@ -24,10 +24,12 @@
 //!   `splice`, O(rows) worst case per call. Right for point updates and
 //!   small states; quadratic when driven in a bulk-load loop.
 //! * [`VRel::extend_from_sorted`] / [`VRel::from_rows`] — the batch
-//!   path: sort the incoming batch (adaptive, so already-sorted input
-//!   is linear), drop in-batch duplicates, and merge once with the
+//!   path: adopt a batch that is already strictly sorted, otherwise
+//!   sort it, drop in-batch duplicates, and merge once with the
 //!   existing store. O((b log b) + rows + b) per batch of `b` rows.
 //!   [`Dict::encode_rows`] is the matching batch interning entry point.
+//!   `StateBuilder::finish` merges every staged relation through the
+//!   same decision (`merge_batches`).
 //!
 //! Both paths uphold the same invariants — see the "Storage &
 //! ingestion" section of `DESIGN.md` — and debug builds assert against
@@ -362,13 +364,9 @@ impl Dict {
     /// machine's whole encoding), so each comparison walks hundreds of
     /// equal bytes. Ranking the dictionary once — O(d log d) string
     /// comparisons for d entries — turns every subsequent row
-    /// comparison into a `u128` compare. Worth it whenever a batch is
-    /// large relative to the dictionary; [`VRel::extend_from_sorted`]
-    /// decides, and bulk loaders that merge several relations against
-    /// one dictionary ([`StateBuilder::finish`]) build the table once
-    /// and pass it to [`VRel::extend_from_sorted_with`].
-    ///
-    /// [`StateBuilder::finish`]: crate::StateBuilder::finish
+    /// comparison into a `u128` compare. Worth it whenever an unsorted
+    /// batch is large relative to the dictionary; `merge_batches`
+    /// decides, and ranks at most once per call.
     pub fn sort_keys(&self) -> SortKeys {
         // Inline naturals key as their value (0 .. 2⁶³); interned big
         // naturals as their value (≥ 2⁶³, above every inline word);
@@ -396,24 +394,54 @@ impl Dict {
     }
 }
 
-/// Does ranking the dictionary pay for itself on this batch? Compares
-/// the sort's comparison volume (`b log b` row compares, each walking
-/// up to `arity` values) against the ranking cost (`d log d` string
-/// compares for `d` dictionary entries). Shared by
-/// [`VRel::extend_from_sorted`] and `StateBuilder::finish`.
+/// Does ranking the dictionary pay for itself on this unsorted batch?
+/// Compares the sort's comparison volume (`b log b` row compares, each
+/// walking up to `arity` values) against the ranking cost (`d log d`
+/// string compares for `d` dictionary entries).
 pub(crate) fn batch_prefers_keys(rows: usize, arity: usize, dict_len: usize) -> bool {
     let log2 = |n: usize| (usize::BITS - n.max(2).leading_zeros()) as usize;
     dict_len > 0 && (rows * arity).saturating_mul(log2(rows)) >= dict_len * log2(dict_len)
 }
 
-/// Below this many staged rows one relation's batch merges sequentially
-/// even when `StateBuilder::finish_with` has an engine: the chunk
-/// fan-out and merge rounds cost more than the sort they replace.
-pub(crate) const PARALLEL_SORT_MIN_ROWS: usize = 1 << 17;
-
-/// Chunk size (rows) for [`VRel::extend_from_sorted_parallel`] when
-/// driven from `StateBuilder::finish_with`.
-pub(crate) const PARALLEL_SORT_CHUNK_ROWS: usize = 1 << 16;
+/// Merge each batch into its store — the one batch-ingestion decision,
+/// behind both [`VRel::extend_from_sorted`] (one batch) and
+/// `StateBuilder::finish` (one batch per staged relation). Every batch
+/// is encoded against `dict`, flat and arity-strided, in any order.
+///
+/// A batch the sortedness probe finds strictly sorted (snapshot-ordered
+/// producers, rows streamed out of another [`VRel`], the JSON loader's
+/// relations) is adopted or merged without sorting; an unsorted batch
+/// fails the probe within a few comparisons. Only if some unsorted
+/// batch passes [`batch_prefers_keys`] is the dictionary ranked — once
+/// — and then every unsorted batch sorts and merges through that one
+/// table; otherwise they compare through the dictionary. Returns the
+/// number of rows that were new, over all batches.
+pub(crate) fn merge_batches(dict: &Dict, batches: Vec<(&mut VRel, Vec<Val>)>) -> usize {
+    let by_dict = |x: &[Val], y: &[Val]| dict.cmp_rows(x, y);
+    let mut added = 0;
+    let mut unsorted = Vec::new();
+    for (rel, batch) in batches {
+        let Some(b) = rel.check_batch(&batch) else {
+            continue;
+        };
+        if VRel::batch_is_sorted(&batch, b, rel.arity, by_dict) {
+            added += rel.merge_presorted(batch, b, by_dict);
+        } else {
+            unsorted.push((rel, batch, b));
+        }
+    }
+    let keys = unsorted
+        .iter()
+        .any(|(rel, _, b)| batch_prefers_keys(*b, rel.arity, dict.len()))
+        .then(|| dict.sort_keys());
+    for (rel, batch, b) in unsorted {
+        added += match &keys {
+            Some(keys) => rel.merge_batch(batch, b, |x, y| keys.cmp_rows(x, y)),
+            None => rel.merge_batch(batch, b, by_dict),
+        };
+    }
+    added
+}
 
 /// An id-indexed table of order-preserving integer keys for one
 /// [`Dict`] generation (see [`Dict::sort_keys`]). Stale tables must not
@@ -652,45 +680,6 @@ impl VRel {
         rel
     }
 
-    /// Build a relation from a flat batch the caller **guarantees** is
-    /// already strictly sorted in semantic order with no duplicates —
-    /// e.g. rows streamed out of another [`VRel`], or snapshot-ordered
-    /// trace batches whose producer emits canonical order. The batch is
-    /// adopted as the store directly: no sort, no probe, no merge.
-    /// Debug builds assert the precondition row by row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arity` is zero or `data.len()` is not a multiple of
-    /// the arity; debug builds also panic when the batch is not
-    /// strictly sorted under `dict`'s semantic order.
-    pub fn from_sorted_unchecked(arity: usize, data: Vec<Val>, dict: &Dict) -> VRel {
-        assert!(
-            arity > 0 && data.len().is_multiple_of(arity),
-            "batch of {} words is not a whole number of arity-{arity} rows",
-            data.len()
-        );
-        let rows = data.len() / arity;
-        debug_assert!(
-            (1..rows).all(|i| {
-                dict.cmp_rows(
-                    &data[(i - 1) * arity..i * arity],
-                    &data[i * arity..(i + 1) * arity],
-                ) == Ordering::Less
-            }),
-            "from_sorted_unchecked batch is not strictly sorted"
-        );
-        let _ = dict;
-        VRel {
-            arity,
-            rows,
-            data,
-            stats: OnceLock::new(),
-            #[cfg(debug_assertions)]
-            insert_streak: 0,
-        }
-    }
-
     /// Assemble a relation from parts the snapshot reader has already
     /// bounds-checked: `rows × arity` words in strict semantic order
     /// plus the precomputed per-column statistics, adopted with the
@@ -757,31 +746,6 @@ impl VRel {
         (0..self.rows).map(move |i| self.row(i))
     }
 
-    /// Rows `start .. start + len` (clamped to the stored row count) as
-    /// one flat, arity-strided word slice — a *morsel* of the relation.
-    /// Morsel boundaries are always aligned to whole rows, so a worker
-    /// handed a morsel never sees a torn tuple.
-    pub fn morsel(&self, start: usize, len: usize) -> &[Val] {
-        let start = start.min(self.rows);
-        let end = start.saturating_add(len).min(self.rows);
-        &self.data[start * self.arity..end * self.arity]
-    }
-
-    /// Partition the store into fixed-size morsels of `morsel_rows`
-    /// rows (the last may be short). An empty relation yields no
-    /// morsels; the concatenation of all morsels is exactly
-    /// [`VRel::data`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `morsel_rows` is zero.
-    pub fn morsels(&self, morsel_rows: usize) -> impl Iterator<Item = &[Val]> + '_ {
-        assert!(morsel_rows > 0, "morsel size must be positive");
-        (0..self.rows)
-            .step_by(morsel_rows)
-            .map(move |start| self.morsel(start, morsel_rows))
-    }
-
     /// The insertion point of `row` in semantic order, and whether the
     /// row is already present.
     fn search(&self, row: &[Val], dict: &Dict) -> (usize, bool) {
@@ -841,129 +805,16 @@ impl VRel {
     /// sorted), not a precondition on the input. Returns the number of
     /// rows that were new.
     ///
-    /// Cost: O(b log b) comparisons to sort the batch (adaptive — an
-    /// already-sorted batch sorts in O(b)) plus one O(rows + b) merge
-    /// with the existing store, against O(b × rows) for the equivalent
-    /// [`VRel::insert`] loop.
+    /// Cost: O(b log b) comparisons to sort the batch (none for a batch
+    /// the probe finds strictly sorted) plus one O(rows + b) merge with
+    /// the existing store, against O(b × rows) for the equivalent
+    /// [`VRel::insert`] loop. `merge_batches` makes the choice.
     ///
     /// # Panics
     ///
     /// Panics if `batch.len()` is not a multiple of the arity.
     pub fn extend_from_sorted(&mut self, batch: Vec<Val>, dict: &Dict) -> usize {
-        let Some(b) = self.check_batch(&batch) else {
-            return 0;
-        };
-        // Sortedness probe, run *before* the rank-key decision: a batch
-        // from an already-sorted producer (snapshot-ordered traces, rows
-        // streamed out of another `VRel`) skips both the O(b log b)
-        // permutation sort and the O(d log d) dictionary ranking, and an
-        // unsorted batch fails the probe within a few comparisons.
-        if Self::batch_is_sorted(&batch, b, self.arity, |x, y| dict.cmp_rows(x, y)) {
-            return self.merge_presorted(batch, b, |x, y| dict.cmp_rows(x, y));
-        }
-        if batch_prefers_keys(b, self.arity, dict.len()) {
-            let keys = dict.sort_keys();
-            self.merge_batch(batch, b, |x, y| keys.cmp_rows(x, y))
-        } else {
-            self.merge_batch(batch, b, |x, y| dict.cmp_rows(x, y))
-        }
-    }
-
-    /// [`VRel::extend_from_sorted`] with a prebuilt key table, for bulk
-    /// loaders that merge several relations against one dictionary and
-    /// want to pay the [`Dict::sort_keys`] ranking once. `keys` must
-    /// come from the dictionary the batch (and this store) was encoded
-    /// against, built after the last interning.
-    pub fn extend_from_sorted_with(&mut self, batch: Vec<Val>, keys: &SortKeys) -> usize {
-        let Some(b) = self.check_batch(&batch) else {
-            return 0;
-        };
-        if Self::batch_is_sorted(&batch, b, self.arity, |x, y| keys.cmp_rows(x, y)) {
-            return self.merge_presorted(batch, b, |x, y| keys.cmp_rows(x, y));
-        }
-        self.merge_batch(batch, b, |x, y| keys.cmp_rows(x, y))
-    }
-
-    /// [`VRel::extend_from_sorted_with`] with the batch sort fanned out
-    /// on `engine`'s worker pool: chunks of `chunk_rows` rows are
-    /// stable-sorted concurrently, then merged pairwise in parallel
-    /// rounds, and the resulting permutation feeds the same single
-    /// merge-with-store pass as the sequential path.
-    ///
-    /// The result is **identical** to the sequential entry points at
-    /// any thread count and chunk size: chunk sorts are stable, chunks
-    /// partition the batch in index order, and the pairwise merge
-    /// breaks ties toward the left (earlier-index) run — so the final
-    /// permutation equals the one stable sort the sequential path
-    /// computes, and equal rows are word-identical anyway (interning is
-    /// canonical), making dedupe order-independent.
-    ///
-    /// One oversized relation is exactly the case per-relation fan-out
-    /// (`StateBuilder::finish_with`) cannot help; this is the
-    /// intra-relation parallelism for it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_rows` is zero or the batch is ragged.
-    pub fn extend_from_sorted_parallel(
-        &mut self,
-        batch: Vec<Val>,
-        keys: &SortKeys,
-        engine: &fq_engine::Engine,
-        chunk_rows: usize,
-    ) -> usize {
-        assert!(chunk_rows > 0, "chunk size must be positive");
-        let Some(b) = self.check_batch(&batch) else {
-            return 0;
-        };
-        let arity = self.arity;
-        let cmp = |x: &[Val], y: &[Val]| keys.cmp_rows(x, y);
-        if Self::batch_is_sorted(&batch, b, arity, cmp) {
-            return self.merge_presorted(batch, b, cmp);
-        }
-        let row_of = |i: u32| &batch[i as usize * arity..(i as usize + 1) * arity];
-        // Sorted runs over disjoint index ranges, in index order.
-        let ranges: Vec<(u32, u32)> = (0..b)
-            .step_by(chunk_rows)
-            .map(|start| (start as u32, start.saturating_add(chunk_rows).min(b) as u32))
-            .collect();
-        let mut runs: Vec<Vec<u32>> = engine.parallel_map(&ranges, |&(lo, hi)| {
-            let mut run: Vec<u32> = (lo..hi).collect();
-            // Stable, matching `merge_batch`'s `sort_by` — equal rows
-            // keep index order within a run.
-            run.sort_by(|&i, &j| cmp(row_of(i), row_of(j)));
-            run
-        });
-        // Pairwise merge rounds; ties go to the left run, whose indices
-        // all precede the right run's, preserving global stability.
-        while runs.len() > 1 {
-            let mut pairs = Vec::with_capacity(runs.len().div_ceil(2));
-            let mut it = runs.into_iter();
-            while let Some(left) = it.next() {
-                pairs.push((left, it.next()));
-            }
-            runs = engine.parallel_map_owned(pairs, |(left, right)| {
-                let Some(right) = right else {
-                    return left;
-                };
-                let mut out = Vec::with_capacity(left.len() + right.len());
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < left.len() && j < right.len() {
-                    if cmp(row_of(left[i]), row_of(right[j])) != Ordering::Greater {
-                        out.push(left[i]);
-                        i += 1;
-                    } else {
-                        out.push(right[j]);
-                        j += 1;
-                    }
-                }
-                out.extend_from_slice(&left[i..]);
-                out.extend_from_slice(&right[j..]);
-                out
-            });
-        }
-        let order = runs.pop().expect("b > 0 yields at least one run");
-        self.merge_ordered(batch, b, &order, cmp)
+        merge_batches(dict, vec![(self, batch)])
     }
 
     /// Is the batch already strictly sorted (no duplicates) under `cmp`?
@@ -1018,8 +869,8 @@ impl VRel {
         Some(batch.len() / self.arity)
     }
 
-    /// The sort-dedupe-merge core behind both batch entry points,
-    /// generic over the row comparator (dictionary walk or key table).
+    /// Sort an unsorted batch and merge it, generic over the row
+    /// comparator (dictionary walk or key table).
     fn merge_batch<F>(&mut self, batch: Vec<Val>, b: usize, cmp: F) -> usize
     where
         F: Fn(&[Val], &[Val]) -> Ordering,
@@ -1268,18 +1119,23 @@ mod tests {
         let added = merged.extend_from_sorted(flat.clone(), &d);
         assert_eq!(merged.data(), by_insert.data());
         assert_eq!(added, by_insert.rows() - 2);
-        // The prebuilt rank-key path merges to the identical store.
+        // Both comparators merge to the identical store.
         let keys = d.sort_keys();
         let mut by_keys = VRel::new(2);
-        by_keys.extend_from_sorted_with(flat, &keys);
+        by_keys.merge_batch(flat.clone(), rows.len(), |x, y| keys.cmp_rows(x, y));
         assert_eq!(by_keys.data(), by_insert.data());
         assert_eq!(by_keys.stats(&d), by_insert.stats(&d));
+        let mut by_dict = VRel::new(2);
+        by_dict.merge_batch(flat, rows.len(), |x, y| d.cmp_rows(x, y));
+        assert_eq!(by_dict.data(), by_insert.data());
     }
 
     /// The rank-key heuristic must flip between the direct and keyed
-    /// comparators without changing results: drive a batch through both
-    /// entry points on a dictionary big enough that
-    /// `extend_from_sorted` picks each path at one of the two sizes.
+    /// comparators without changing results: unsorted batches of two
+    /// sizes that straddle it merge through `extend_from_sorted` to the
+    /// insert loop's store, and so do both stores of one
+    /// `merge_batches` call, where the large batch's ranking also
+    /// serves the small one.
     #[test]
     fn keyed_and_direct_merges_agree_across_the_heuristic() {
         let mut d = Dict::default();
@@ -1292,91 +1148,44 @@ mod tests {
             })
             .collect();
         let words: Vec<Val> = values.iter().map(|v| d.encode(v)).collect();
-        for (small, large) in [(4usize, 280usize), (280, 4)] {
-            let batch = |n: usize| -> Vec<Val> {
-                (0..n)
-                    .flat_map(|i| [words[(i * 7) % words.len()], words[(i * 13) % words.len()]])
-                    .collect()
-            };
-            let (sm, lg) = (batch(small), batch(large));
-            assert_ne!(
-                batch_prefers_keys(small, 2, d.len()),
-                batch_prefers_keys(large, 2, d.len()),
-                "sizes must straddle the heuristic"
-            );
+        let batch = |n: usize| -> Vec<Val> {
+            (0..n)
+                .flat_map(|i| [words[(i * 7) % words.len()], words[(i * 13) % words.len()]])
+                .collect()
+        };
+        let by_insert = |batches: &[&[Val]]| {
+            let mut rel = VRel::new(2);
+            for row in batches.iter().flat_map(|b| b.chunks(2)) {
+                rel.insert(row, &d);
+            }
+            rel
+        };
+        let (sm, lg) = (batch(4), batch(280));
+        assert!(!batch_prefers_keys(4, 2, d.len()));
+        assert!(batch_prefers_keys(280, 2, d.len()));
+        assert!(!VRel::batch_is_sorted(&sm, 4, 2, |x, y| d.cmp_rows(x, y)));
+        for order in [[&sm, &lg], [&lg, &sm]] {
             let mut auto = VRel::new(2);
-            auto.extend_from_sorted(sm.clone(), &d);
-            auto.extend_from_sorted(lg.clone(), &d);
-            let keys = d.sort_keys();
-            let mut keyed = VRel::new(2);
-            keyed.extend_from_sorted_with(sm, &keys);
-            keyed.extend_from_sorted_with(lg, &keys);
-            assert_eq!(auto.data(), keyed.data());
-            assert_eq!(auto.rows(), keyed.rows());
+            auto.extend_from_sorted(order[0].clone(), &d);
+            auto.extend_from_sorted(order[1].clone(), &d);
+            let expected = by_insert(&[order[0], order[1]]);
+            assert_eq!(auto.data(), expected.data());
+            assert_eq!(auto.rows(), expected.rows());
         }
+        let (mut small, mut large) = (VRel::new(2), VRel::new(2));
+        let added = merge_batches(&d, vec![(&mut small, sm.clone()), (&mut large, lg.clone())]);
+        assert_eq!(small.data(), by_insert(&[&sm]).data());
+        assert_eq!(large.data(), by_insert(&[&lg]).data());
+        assert_eq!(added, small.rows() + large.rows());
     }
 
-    // Parallel workers share `&VRel` / `&Dict` / `&SortKeys` across
-    // scoped threads; keep them `Sync` by construction.
+    // Parallel workers share `&VRel` / `&Dict` across scoped threads;
+    // keep them `Sync` by construction.
     const _: fn() = || {
         fn assert_sync<T: Sync>() {}
         assert_sync::<VRel>();
         assert_sync::<Dict>();
-        assert_sync::<SortKeys>();
     };
-
-    #[test]
-    fn morsels_tile_the_store_on_row_boundaries() {
-        let mut d = Dict::default();
-        let mut r = VRel::new(3);
-        let mut batch = Vec::new();
-        for i in 0..10u64 {
-            for v in [
-                Value::Nat(i),
-                Value::Str(format!("m{i}")),
-                Value::Nat(i + 1),
-            ] {
-                batch.push(d.encode(&v));
-            }
-        }
-        r.extend_from_sorted(batch, &d);
-        assert_eq!(r.rows(), 10);
-        for morsel_rows in [1, 3, 4, 5, 10, 64] {
-            let parts: Vec<&[Val]> = r.morsels(morsel_rows).collect();
-            assert_eq!(parts.len(), r.rows().div_ceil(morsel_rows));
-            assert!(parts.iter().all(|m| m.len().is_multiple_of(3)));
-            let glued: Vec<Val> = parts.concat();
-            assert_eq!(glued, r.data(), "morsels of {morsel_rows} rows");
-        }
-        assert!(VRel::new(2).morsels(4).next().is_none());
-        assert_eq!(r.morsel(8, 100), &r.data()[8 * 3..]);
-        assert_eq!(r.morsel(99, 4), &[] as &[Val]);
-    }
-
-    #[test]
-    fn from_sorted_unchecked_adopts_the_batch() {
-        let mut d = Dict::default();
-        let mut flat = Vec::new();
-        for i in 0..6u64 {
-            flat.push(d.encode(&Value::Nat(i)));
-            flat.push(d.encode(&Value::Str(format!("s{i}"))));
-        }
-        let by_batch = VRel::from_rows(2, flat.clone(), &d);
-        let unchecked = VRel::from_sorted_unchecked(2, by_batch.data().to_vec(), &d);
-        assert_eq!(unchecked.rows(), by_batch.rows());
-        assert_eq!(unchecked.data(), by_batch.data());
-        assert_eq!(unchecked.stats(&d), by_batch.stats(&d));
-    }
-
-    #[test]
-    #[should_panic(expected = "not strictly sorted")]
-    #[cfg(debug_assertions)]
-    fn from_sorted_unchecked_asserts_sortedness_in_debug() {
-        let mut d = Dict::default();
-        let hi = d.encode(&Value::Str("z".into()));
-        let lo = d.encode(&Value::Str("a".into()));
-        VRel::from_sorted_unchecked(1, vec![hi, lo], &d);
-    }
 
     #[test]
     fn presorted_batches_merge_identically_to_unsorted_ones() {
@@ -1408,66 +1217,12 @@ mod tests {
         all.extend(tail);
         let whole = VRel::from_rows(1, all, &d);
         assert_eq!(c.data(), whole.data());
-        // The keyed entry point probes too.
-        let keys = d.sort_keys();
+        // The probe runs before the rank-key decision: a sorted batch
+        // large enough to prefer keys is still adopted as it stands.
+        assert!(batch_prefers_keys(40, 1, d.len()));
         let mut k = VRel::new(1);
-        assert_eq!(k.extend_from_sorted_with(sorted, &keys), 40);
-        assert_eq!(k.rows(), 40);
-    }
-
-    #[test]
-    fn parallel_batch_sort_equals_sequential_merge() {
-        use fq_engine::{Engine, EngineConfig};
-        let mut d = Dict::default();
-        // Unsorted, duplicate-heavy, string/nat mixed batch.
-        let flat: Vec<Val> = (0..500u64)
-            .flat_map(|i| {
-                [
-                    d.encode(&Value::Str(format!("run#{}", (i * 37) % 90))),
-                    d.encode(&Value::Nat((i * 13) % 47)),
-                ]
-            })
-            .collect();
-        let keys = d.sort_keys();
-        let mut sequential = VRel::new(2);
-        let seq_added = sequential.extend_from_sorted_with(flat.clone(), &keys);
-        // Pre-seed a store so the merge-with-store leg is exercised too.
-        let seed: Vec<Val> = flat[..40].to_vec();
-        for threads in [1, 3] {
-            let engine = Engine::new(EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            });
-            for chunk_rows in [1, 7, 64, 10_000] {
-                let mut parallel = VRel::new(2);
-                let added =
-                    parallel.extend_from_sorted_parallel(flat.clone(), &keys, &engine, chunk_rows);
-                assert_eq!(
-                    added, seq_added,
-                    "{threads} threads, chunks of {chunk_rows}"
-                );
-                assert_eq!(parallel.data(), sequential.data());
-                let mut seeded_seq = VRel::new(2);
-                seeded_seq.extend_from_sorted_with(seed.clone(), &keys);
-                seeded_seq.extend_from_sorted_with(flat.clone(), &keys);
-                let mut seeded_par = VRel::new(2);
-                seeded_par.extend_from_sorted_with(seed.clone(), &keys);
-                seeded_par.extend_from_sorted_parallel(flat.clone(), &keys, &engine, chunk_rows);
-                assert_eq!(seeded_par.data(), seeded_seq.data());
-            }
-            // Presorted batches take the probe shortcut unchanged.
-            let mut presorted = VRel::new(2);
-            assert_eq!(
-                presorted.extend_from_sorted_parallel(
-                    sequential.data().to_vec(),
-                    &keys,
-                    &engine,
-                    8
-                ),
-                sequential.rows()
-            );
-            assert_eq!(presorted.data(), sequential.data());
-        }
+        assert_eq!(k.extend_from_sorted(sorted.clone(), &d), 40);
+        assert_eq!(k.data(), &sorted[..]);
     }
 
     #[test]

@@ -149,39 +149,6 @@ proptest! {
         prop_assert_eq!(&again, &by_insert);
     }
 
-    /// The worker-pool `finish_with` produces a state equal to the
-    /// sequential `finish` — same rows, stats, and serialized form — at
-    /// any thread count: relations merge independently against the
-    /// final dictionary and one shared rank table.
-    #[test]
-    fn parallel_finish_equals_sequential_finish(
-        pairs in proptest::collection::vec((arb_value(), arb_value()), 0..16),
-        singles in proptest::collection::vec(arb_value(), 0..10),
-        threads in 1usize..=8,
-    ) {
-        let schema = Schema::new().with_relation("R", 2).with_relation("S", 1);
-        let build = || {
-            let mut b = StateBuilder::new(schema.clone());
-            for (a, b_) in &pairs {
-                b.row("R", vec![a.clone(), b_.clone()]);
-            }
-            for a in &singles {
-                b.row_ref("S", std::slice::from_ref(a));
-            }
-            b
-        };
-        let sequential = build().finish();
-        let engine = fq_engine::Engine::new(fq_engine::EngineConfig {
-            threads,
-            ..fq_engine::EngineConfig::default()
-        });
-        let parallel = build().finish_with(&engine);
-        prop_assert_eq!(&parallel, &sequential);
-        prop_assert_eq!(fq_json::to_string(&parallel), fq_json::to_string(&sequential));
-        prop_assert_eq!(parallel.column_stats("R"), sequential.column_stats("R"));
-        prop_assert_eq!(parallel.column_stats("S"), sequential.column_stats("S"));
-    }
-
     /// A binary snapshot round-trips any state exactly: equal state,
     /// byte-identical JSON interchange form, per-column statistics
     /// equal to the lazily-computed ones, and the advertised
@@ -247,36 +214,6 @@ proptest! {
             State::read_snapshot(&flipped).is_err(),
             "flip at {} with mask {:#04x}", at, mask
         );
-    }
-
-    /// The parallel chunk-sort merge path is bit-identical to the
-    /// sequential rank-key merge at any thread count and chunk size —
-    /// same rows, same order, same statistics.
-    #[test]
-    fn parallel_chunk_sort_equals_sequential_merge(
-        rows in proptest::collection::vec((arb_value(), arb_value()), 0..24),
-        seed_split in 0usize..24,
-        threads in 1usize..=4,
-        chunk_rows in 1usize..32,
-    ) {
-        let mut dict = Dict::default();
-        let mut flat: Vec<_> = Vec::new();
-        for (a, b) in &rows {
-            flat.push(dict.encode(a));
-            flat.push(dict.encode(b));
-        }
-        let cut = seed_split.min(rows.len()) * 2;
-        let keys = dict.sort_keys();
-        let engine = fq_engine::Engine::new(fq_engine::EngineConfig {
-            threads,
-            ..fq_engine::EngineConfig::default()
-        });
-        let mut sequential = VRel::from_rows(2, flat[..cut].to_vec(), &dict);
-        let mut parallel = sequential.clone();
-        sequential.extend_from_sorted_with(flat[cut..].to_vec(), &keys);
-        parallel.extend_from_sorted_parallel(flat[cut..].to_vec(), &keys, &engine, chunk_rows);
-        prop_assert_eq!(parallel.data(), sequential.data());
-        prop_assert_eq!(parallel.stats(&dict), sequential.stats(&dict));
     }
 
     /// A whole state serializes to **exactly** the JSON the legacy

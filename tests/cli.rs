@@ -443,12 +443,20 @@ struct ServeProc {
 /// Spawn `fq serve` on an OS-chosen port and wait for the listening
 /// line.
 fn spawn_serve(extra: &[&str]) -> ServeProc {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_fq"))
+    let mut command = Command::new(env!("CARGO_BIN_EXE_fq"));
+    command
         .args(["serve"])
         .args(extra)
         .arg("127.0.0.1:0")
+        .stderr(Stdio::null());
+    start_serve(command)
+}
+
+/// Start an `fq serve` command that binds an OS-chosen port, and wait
+/// for the listening line.
+fn start_serve(mut command: Command) -> ServeProc {
+    let mut child = command
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
         .spawn()
         .expect("fq serve spawns");
     let stdout = child.stdout.take().expect("piped stdout");
@@ -475,6 +483,9 @@ fn spawn_serve(extra: &[&str]) -> ServeProc {
 /// One request line → one response line over the serve protocol.
 fn serve_request(port: u16, line: &str) -> fq_json::Value {
     let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect to fq serve");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
     writeln!(writer, "{line}").unwrap();
@@ -581,6 +592,43 @@ fn serve_ingest_errors_are_structured_over_tcp() {
     assert_eq!(info.get("epoch").and_then(|v| v.as_int()), Some(0));
     serve.child.kill().unwrap();
     serve.child.wait().unwrap();
+}
+
+/// A failed accept does not end `fq serve`: with too few descriptors
+/// for ten concurrent clients, accepting fails with EMFILE, the failure
+/// is reported on stderr, and once the clients close, a fresh
+/// connection is answered.
+#[test]
+fn serve_keeps_accepting_after_running_out_of_descriptors() {
+    let tmp = TestDir::new("serve_keeps_accepting_after_running_out_of_descriptors");
+    let state = tmp.fathers_json();
+    let mut command = Command::new("sh");
+    command
+        .args(["-c", "ulimit -n 12 && exec \"$0\" serve \"$1\" 127.0.0.1:0"])
+        .args([env!("CARGO_BIN_EXE_fq"), state.as_str()])
+        .stderr(Stdio::piped());
+    let mut serve = start_serve(command);
+    let stderr = serve.child.stderr.take().expect("piped stderr");
+    let (lines, errors) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+            let _ = lines.send(line);
+        }
+    });
+    let clients: Vec<TcpStream> = (0..10)
+        .map(|_| TcpStream::connect(("127.0.0.1", serve.port)).expect("connect to fq serve"))
+        .collect();
+    let error = errors
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("an accept fails under the descriptor limit");
+    assert!(error.contains("Too many open files"), "{error}");
+    drop(clients);
+    let info = serve_request(serve.port, r#"{"cmd":"snapshot-info"}"#);
+    assert_eq!(info.get("ok").and_then(|v| v.as_bool()), Some(true));
+    assert!(serve.child.try_wait().unwrap().is_none(), "fq serve exited");
+    serve.child.kill().unwrap();
+    serve.child.wait().unwrap();
+    reader.join().unwrap();
 }
 
 #[test]
