@@ -166,10 +166,7 @@ fn emit_report() {
         let opts = ExecOpts { morsel_rows: 1024 };
         let mut medians = Vec::new();
         for threads in [1usize, 2, 4, 8] {
-            let engine = Engine::new(EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            });
+            let engine = Engine::new(EngineConfig { threads });
             let out = plan.execute_with_stats_on(&state, &engine, opts);
             assert_eq!(
                 out.relation, baseline,
@@ -272,10 +269,7 @@ fn emit_report() {
     let vars: Vec<String> = ["x", "z"].iter().map(|s| s.to_string()).collect();
     let expected = eval_query(&state, &NoOps, &query, &vars).expect("evaluates");
     let seq = Engine::sequential();
-    let par = Engine::new(EngineConfig {
-        threads: 4,
-        ..EngineConfig::default()
-    });
+    let par = Engine::new(EngineConfig { threads: 4 });
     for engine in [&seq, &par] {
         let got = eval_query_with(&state, &NoOps, &query, &vars, engine).expect("evaluates");
         assert_eq!(

@@ -103,10 +103,7 @@ fn emit_report() {
     // and memo hit. Ids encode the thread count for `bench_gate`.
     let shared = Arc::new(SharedState::new(state));
     {
-        let exec = Executor::new(Engine::new(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        }));
+        let exec = Executor::new(Engine::new(EngineConfig { threads: 1 }));
         let snapshot = shared.snapshot();
         for q in [Q_SMALL, Q_PROJECT] {
             exec.execute_snapshot(&snapshot, q, DomainId::Eq)

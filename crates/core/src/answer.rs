@@ -66,11 +66,10 @@ pub fn answer_query<D: DecidableTheory>(
     )
 }
 
-/// [`answer_query`] with the decision procedure routed through `engine`:
-/// each decided sentence is memoized (keyed by the domain type and the
-/// sentence), so the outer loop's restarted candidate scans — and warm
-/// re-executions sharing the engine — skip the quantifier eliminations
-/// entirely.
+/// [`answer_query`] with each decided sentence memoized in `engine`
+/// (keyed by the domain type and the sentence), so the outer loop's
+/// restarted candidate scans — and warm re-executions sharing the engine
+/// — skip the quantifier eliminations entirely.
 pub fn answer_query_with<D: DecidableTheory>(
     domain: &D,
     state: &State,
@@ -83,7 +82,7 @@ pub fn answer_query_with<D: DecidableTheory>(
         engine.cached(
             "core.answer.decide",
             (std::any::type_name::<D>(), sentence.clone()),
-            || domain.decide_with(sentence, engine),
+            || domain.decide(sentence),
         )
     };
     let phi = translate_to_domain_formula(query, state);

@@ -8,7 +8,6 @@
 //! over a fixed stock of predicates, constants, variables, and unary
 //! functions, ordered by AST size.
 
-use fq_engine::Engine;
 use fq_logic::{Formula, Sym, Term};
 
 /// A finitely-generated space of formulas.
@@ -51,19 +50,11 @@ impl FormulaSpace {
         base
     }
 
-    /// All atoms of the space.
+    /// All atoms of the space, predicate by predicate, then equalities.
     pub fn atoms(&self) -> Vec<Formula> {
-        self.atoms_with(&Engine::sequential())
-    }
-
-    /// [`FormulaSpace::atoms`] through a shared [`Engine`]: the atoms of
-    /// each predicate are generated on separate workers and concatenated
-    /// in predicate order, so the result is identical to the sequential
-    /// enumeration.
-    pub fn atoms_with(&self, engine: &Engine) -> Vec<Formula> {
         let terms = self.terms();
-        let per_pred = engine.parallel_map(&self.predicates, |(name, arity)| {
-            let mut out = Vec::new();
+        let mut out = Vec::new();
+        for (name, arity) in &self.predicates {
             let mut idx = vec![0usize; *arity];
             loop {
                 out.push(Formula::Pred(
@@ -86,9 +77,7 @@ impl FormulaSpace {
                     break;
                 }
             }
-            out
-        });
-        let mut out: Vec<Formula> = per_pred.into_iter().flatten().collect();
+        }
         if self.with_equality {
             for a in &terms {
                 for b in &terms {

@@ -27,7 +27,11 @@
 //! * [`finrep`] — the Section 1.2 alternative: finitely-representable
 //!   (constraint) relations over Presburger arithmetic, with membership,
 //!   algebraic operations, projection via Cooper, and a finiteness test.
-
+//!
+//! Every procedure here runs sequentially on the calling thread. The one
+//! use of the shared engine is [`answer_query_with`]'s memo of decided
+//! sentences (`core.answer.decide`), which the query layer shares across
+//! executions.
 //!
 //! ```
 //! use fq_core::finitize;

@@ -26,10 +26,8 @@
 
 use crate::safety::totality_query_open;
 use fq_domains::{DecidableTheory, DomainError, TraceDomain};
-use fq_engine::Engine;
 use fq_logic::{substitute_const, Formula, Term};
 use fq_turing::{encode_machine, Machine, MachineEnumerator};
-use std::collections::VecDeque;
 
 /// A candidate effective syntax for the finite queries of **T**: an
 /// enumerable family of formulas with free variable `x` over the scheme
@@ -143,53 +141,20 @@ pub fn certification_sentence(machine: &Machine, candidate: &Formula) -> Formula
 }
 
 /// Try to certify a machine total via the first `max_candidates` members
-/// of a candidate syntax. Returns the index and formula of the matching
-/// candidate. Certification is *sound*: a match proves the totality
-/// query finite in every state, hence the machine total.
+/// of a candidate syntax. Returns the index and formula of the first
+/// matching candidate. Certification is *sound*: a match proves the
+/// totality query finite in every state, hence the machine total.
 pub fn certify_total<S: CandidateSyntax>(
     machine: &Machine,
     syntax: &S,
     max_candidates: usize,
 ) -> Result<Option<(usize, Formula)>, DomainError> {
-    certify_total_with(machine, syntax, max_candidates, &Engine::sequential())
-}
-
-/// [`certify_total`] through a shared [`Engine`]: candidates are decided
-/// in batches of one per worker, and each batch is scanned in candidate
-/// order, so the returned certificate is always the *lowest-index* match
-/// — identical to the sequential scan.
-pub fn certify_total_with<S: CandidateSyntax>(
-    machine: &Machine,
-    syntax: &S,
-    max_candidates: usize,
-    engine: &Engine,
-) -> Result<Option<(usize, Formula)>, DomainError> {
-    let batch = engine.threads().max(1);
-    let mut r = 0;
-    while r < max_candidates {
-        let mut candidates: Vec<(usize, Formula)> = Vec::with_capacity(batch);
-        let mut exhausted = false;
-        while candidates.len() < batch && r < max_candidates {
-            match syntax.candidate(r) {
-                Some(phi) => candidates.push((r, phi)),
-                None => {
-                    exhausted = true;
-                    break;
-                }
-            }
-            r += 1;
-        }
-        let verdicts = engine.parallel_map(&candidates, |(_, phi)| {
-            let sentence = certification_sentence(machine, phi);
-            TraceDomain.decide_with(&sentence, engine)
-        });
-        for ((index, phi), verdict) in candidates.iter().zip(verdicts) {
-            if verdict? {
-                return Ok(Some((*index, phi.clone())));
-            }
-        }
-        if exhausted {
+    for r in 0..max_candidates {
+        let Some(phi) = syntax.candidate(r) else {
             break;
+        };
+        if TraceDomain.decide(&certification_sentence(machine, &phi))? {
+            return Ok(Some((r, phi)));
         }
     }
     Ok(None)
@@ -202,57 +167,16 @@ pub struct TotalityEnumerator<S: CandidateSyntax> {
     syntax: S,
     pair: usize,
     max_pairs: usize,
-    engine: Engine,
-    ready: VecDeque<(Machine, usize)>,
 }
 
 impl<S: CandidateSyntax> TotalityEnumerator<S> {
     /// Enumerate certified machines among the first `max_pairs`
     /// (machine, candidate) pairs.
     pub fn new(syntax: S, max_pairs: usize) -> Self {
-        Self::with_engine(syntax, max_pairs, Engine::sequential())
-    }
-
-    /// [`TotalityEnumerator::new`] through a shared [`Engine`]: the
-    /// dovetail decides one batch of pairs per worker at a time and
-    /// yields certified machines in pair order, so the stream is
-    /// identical to the sequential enumeration.
-    pub fn with_engine(syntax: S, max_pairs: usize, engine: Engine) -> Self {
         TotalityEnumerator {
             syntax,
             pair: 0,
             max_pairs,
-            engine,
-            ready: VecDeque::new(),
-        }
-    }
-
-    fn refill(&mut self) {
-        let batch = self.engine.threads().max(1);
-        while self.ready.is_empty() && self.pair < self.max_pairs {
-            let mut pending: Vec<(usize, Machine, Formula)> = Vec::with_capacity(batch);
-            while pending.len() < batch && self.pair < self.max_pairs {
-                let r = self.pair;
-                self.pair += 1;
-                let (k, c) = cantor_unpair(r);
-                let Some(machine) = MachineEnumerator::new().nth(k) else {
-                    continue;
-                };
-                let Some(phi) = self.syntax.candidate(c) else {
-                    continue;
-                };
-                pending.push((r, machine, phi));
-            }
-            let engine = &self.engine;
-            let verdicts = engine.parallel_map(&pending, |(_, machine, phi)| {
-                let sentence = certification_sentence(machine, phi);
-                TraceDomain.decide_with(&sentence, engine).unwrap_or(false)
-            });
-            for ((r, machine, _), certified) in pending.into_iter().zip(verdicts) {
-                if certified {
-                    self.ready.push_back((machine, r));
-                }
-            }
         }
     }
 }
@@ -261,10 +185,22 @@ impl<S: CandidateSyntax> Iterator for TotalityEnumerator<S> {
     type Item = (Machine, usize);
 
     fn next(&mut self) -> Option<(Machine, usize)> {
-        if self.ready.is_empty() {
-            self.refill();
+        while self.pair < self.max_pairs {
+            let r = self.pair;
+            self.pair += 1;
+            let (k, c) = cantor_unpair(r);
+            let Some(machine) = MachineEnumerator::new().nth(k) else {
+                continue;
+            };
+            let Some(phi) = self.syntax.candidate(c) else {
+                continue;
+            };
+            let sentence = certification_sentence(&machine, &phi);
+            if TraceDomain.decide(&sentence).unwrap_or(false) {
+                return Some((machine, r));
+            }
         }
-        self.ready.pop_front()
+        None
     }
 }
 
@@ -285,23 +221,8 @@ pub fn refute_candidate_syntax<S: CandidateSyntax>(
     total_witnesses: &[Machine],
     max_candidates: usize,
 ) -> Result<Option<SyntaxRefutation>, DomainError> {
-    refute_candidate_syntax_with(
-        syntax,
-        total_witnesses,
-        max_candidates,
-        &Engine::sequential(),
-    )
-}
-
-/// [`refute_candidate_syntax`] through a shared [`Engine`].
-pub fn refute_candidate_syntax_with<S: CandidateSyntax>(
-    syntax: &S,
-    total_witnesses: &[Machine],
-    max_candidates: usize,
-    engine: &Engine,
-) -> Result<Option<SyntaxRefutation>, DomainError> {
     for machine in total_witnesses {
-        if certify_total_with(machine, syntax, max_candidates, engine)?.is_none() {
+        if certify_total(machine, syntax, max_candidates)?.is_none() {
             return Ok(Some(SyntaxRefutation {
                 machine: machine.clone(),
                 machine_str: encode_machine(machine),
@@ -439,31 +360,6 @@ mod tests {
         let refutation =
             refute_candidate_syntax(&FiniteListSyntax, &total_witnesses(), 30).unwrap();
         assert!(refutation.is_some());
-    }
-
-    #[test]
-    fn parallel_certification_matches_sequential() {
-        let engine = Engine::new(fq_engine::EngineConfig {
-            threads: 4,
-            cache_capacity: 1 << 12,
-        });
-        for machine in [builders::halter(), builders::looper()] {
-            let seq = certify_total(&machine, &ExactRuntimeSyntax, 45).unwrap();
-            let par = certify_total_with(&machine, &ExactRuntimeSyntax, 45, &engine).unwrap();
-            assert_eq!(seq, par);
-        }
-    }
-
-    #[test]
-    fn parallel_enumerator_matches_sequential() {
-        let seq: Vec<(Machine, usize)> = TotalityEnumerator::new(ExactRuntimeSyntax, 45).collect();
-        let engine = Engine::new(fq_engine::EngineConfig {
-            threads: 4,
-            cache_capacity: 1 << 12,
-        });
-        let par: Vec<(Machine, usize)> =
-            TotalityEnumerator::with_engine(ExactRuntimeSyntax, 45, engine).collect();
-        assert_eq!(seq, par);
     }
 
     #[test]

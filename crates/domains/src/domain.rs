@@ -6,7 +6,6 @@
 //! theory is **decidable**, because "if the domain theory is not decidable,
 //! then the answers, whether finite or infinite, are not computable".
 
-use fq_engine::Engine;
 use fq_logic::{Formula, LogicError, Term};
 use std::fmt::{Debug, Display};
 
@@ -86,29 +85,9 @@ pub trait DecidableTheory: Domain {
     /// Decide the truth of a pure-domain sentence.
     fn decide(&self, sentence: &Formula) -> Result<bool, DomainError>;
 
-    /// Decide through a shared [`Engine`], so callers can fan decision
-    /// work across cores and reuse memoized subproblems between
-    /// sentences. The default ignores the engine; theories whose decision
-    /// procedure is engine-aware (Presburger, the trace domain) override
-    /// it. Results are always identical to [`DecidableTheory::decide`].
-    fn decide_with(&self, sentence: &Formula, engine: &Engine) -> Result<bool, DomainError> {
-        let _ = engine;
-        self.decide(sentence)
-    }
-
     /// Decide equivalence of two formulas with the same free variables by
     /// deciding the universally closed bi-implication.
     fn equivalent(&self, a: &Formula, b: &Formula) -> Result<bool, DomainError> {
-        self.equivalent_with(a, b, &Engine::sequential())
-    }
-
-    /// [`DecidableTheory::equivalent`] through a shared [`Engine`].
-    fn equivalent_with(
-        &self,
-        a: &Formula,
-        b: &Formula,
-        engine: &Engine,
-    ) -> Result<bool, DomainError> {
         let mut free: Vec<String> = a.free_vars().into_iter().collect();
         for v in b.free_vars() {
             if !free.contains(&v) {
@@ -116,7 +95,7 @@ pub trait DecidableTheory: Domain {
             }
         }
         let closed = Formula::forall_many(free, Formula::iff(a.clone(), b.clone()));
-        self.decide_with(&closed, engine)
+        self.decide(&closed)
     }
 }
 

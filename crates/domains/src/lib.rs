@@ -23,6 +23,12 @@
 //! sentences). The trace domain's decision procedure is the quantifier
 //! elimination of Theorem A.3.
 //!
+//! Every decision procedure is one plain sequential function of its
+//! input: no thread fan-out, no caches, no shared state. Reuse belongs
+//! where the whole question is known — the query layer memoizes each
+//! decided sentence's verdict, and the Section 1.1 enumerate-and-ask loop
+//! its instantiated sentences.
+//!
 //! ```
 //! use fq_domains::{DecidableTheory, Presburger, TraceDomain};
 //! use fq_logic::parse_formula;

@@ -19,33 +19,19 @@
 
 use super::linear::LinTerm;
 use super::pformula::{PAtom, PFormula};
-use fq_engine::Engine;
 
 /// Eliminate all quantifiers, producing an equivalent quantifier-free
-/// formula (over ℤ), with a private sequential [`Engine`].
+/// formula (over ℤ), innermost quantifier first.
 pub fn eliminate(f: &PFormula) -> PFormula {
-    eliminate_with(&Engine::sequential(), f)
-}
-
-/// Eliminate all quantifiers through an explicit [`Engine`]: independent
-/// `And`/`Or` children fan out across the engine's worker threads, and
-/// `∃`-elimination results are memoized on hash-consed subformula ids.
-/// Results are identical to [`eliminate`] for every configuration.
-pub fn eliminate_with(engine: &Engine, f: &PFormula) -> PFormula {
     match f {
         PFormula::True | PFormula::False | PFormula::Atom(_) => psimplify(f),
-        PFormula::Not(inner) => PFormula::not(eliminate_with(engine, inner)),
-        PFormula::And(fs) => PFormula::and(engine.parallel_map(fs, |g| eliminate_with(engine, g))),
-        PFormula::Or(fs) => PFormula::or(engine.parallel_map(fs, |g| eliminate_with(engine, g))),
-        PFormula::Exists(v, body) => psimplify(&eliminate_exists_with(
-            engine,
+        PFormula::Not(inner) => PFormula::not(eliminate(inner)),
+        PFormula::And(fs) => PFormula::and(fs.iter().map(eliminate)),
+        PFormula::Or(fs) => PFormula::or(fs.iter().map(eliminate)),
+        PFormula::Exists(v, body) => psimplify(&eliminate_exists(v, &eliminate(body))),
+        PFormula::Forall(v, body) => psimplify(&PFormula::not(eliminate_exists(
             v,
-            &eliminate_with(engine, body),
-        )),
-        PFormula::Forall(v, body) => psimplify(&PFormula::not(eliminate_exists_with(
-            engine,
-            v,
-            &PFormula::not(eliminate_with(engine, body)),
+            &PFormula::not(eliminate(body)),
         ))),
     }
 }
@@ -262,42 +248,25 @@ fn mentions(f: &PFormula, var: &str) -> bool {
     }
 }
 
-/// Eliminate a single existential over a quantifier-free body.
+/// Eliminate a single existential over a quantifier-free body: one
+/// Cooper round per conjunct of the body's DNF with respect to `var`.
 pub fn eliminate_exists(var: &str, qf: &PFormula) -> PFormula {
-    eliminate_exists_with(&Engine::sequential(), var, qf)
-}
-
-/// [`eliminate_exists`] through an explicit [`Engine`].
-///
-/// The whole call and each DNF conjunct are memoized on `(var, interned
-/// formula id)`; nested Cooper rounds mass-produce structurally equal
-/// subproblems, so both caches hit heavily. Conjuncts are eliminated in
-/// parallel and merged back in their canonical (`BTreeSet`) order, so the
-/// output never depends on thread scheduling.
-pub fn eliminate_exists_with(engine: &Engine, var: &str, qf: &PFormula) -> PFormula {
     debug_assert!(qf.is_quantifier_free(), "eliminate_exists needs a QF body");
     if !mentions(qf, var) {
         return qf.clone();
     }
-    let key = (var.to_string(), engine.intern(qf.clone()).id());
-    engine.cached("cooper.exists", key, || {
-        let conjuncts: Vec<Conjunct> = dnf_wrt(&pnnf(&psimplify(qf), true), var)
+    PFormula::or(
+        dnf_wrt(&pnnf(&psimplify(qf), true), var)
             .into_iter()
-            .collect();
-        PFormula::or(engine.parallel_map(&conjuncts, |conjunct| {
-            let key = (var.to_string(), engine.intern(conjunct.clone()).id());
-            engine.cached("cooper.conjunct", key, || {
-                let (lits, opaque) = conjunct;
-                let pieces: Vec<Piece> = lits
-                    .iter()
-                    .cloned()
+            .map(|(lits, opaque)| {
+                let pieces = lits
+                    .into_iter()
                     .map(Piece::Lit)
-                    .chain(opaque.iter().cloned().map(Piece::Opaque))
+                    .chain(opaque.into_iter().map(Piece::Opaque))
                     .collect();
-                eliminate_conjunct(engine, var, pieces)
-            })
-        }))
-    })
+                eliminate_conjunct(var, pieces)
+            }),
+    )
 }
 
 /// A canonical DNF conjunct: sorted deduplicated literals plus opaque
@@ -487,7 +456,7 @@ fn lcm(a: i128, b: i128) -> i128 {
     (a / gcd(a, b)) * b
 }
 
-fn eliminate_conjunct(engine: &Engine, var: &str, pieces: Vec<Piece>) -> PFormula {
+fn eliminate_conjunct(var: &str, pieces: Vec<Piece>) -> PFormula {
     let mut x_lits: Vec<PLit> = Vec::new();
     let mut residue: Vec<PFormula> = Vec::new();
     for p in pieces {
@@ -595,30 +564,29 @@ fn eliminate_conjunct(engine: &Engine, var: &str, pieces: Vec<Piece>) -> PFormul
         }
     }
 
-    // Boundary disjuncts: y := b + j, one per (b, j) pair. The pairs are
-    // independent, so they fan out across the engine's workers; the
-    // results come back in cross-product order regardless of scheduling.
-    let boundary: Vec<(&LinTerm, i128)> = b_set
-        .iter()
-        .flat_map(|b| (1..=m).map(move |j| (b, j)))
-        .collect();
-    disjuncts.extend(engine.parallel_map(&boundary, |(b, j)| {
-        let y_val = b.add(&LinTerm::constant(*j));
-        let conj = y_atoms.iter().map(|a| match a {
-            YAtom::Lower(l) => PFormula::Atom(PAtom::Pos(y_val.sub(l))),
-            YAtom::Upper(u) => PFormula::Atom(PAtom::Pos(u.sub(&y_val))),
-            YAtom::Eq(e) => PFormula::Atom(PAtom::Zero(y_val.sub(e))),
-            YAtom::Div(d, s, sign) => {
-                let atom = PFormula::Atom(PAtom::Div(*d, y_val.add(s)));
-                if *sign {
-                    atom
-                } else {
-                    PFormula::not(atom)
-                }
-            }
-        });
-        psimplify(&PFormula::and(conj))
-    }));
+    // Boundary disjuncts: y := b + j, one per (b, j) pair.
+    disjuncts.extend(
+        b_set
+            .iter()
+            .flat_map(|b| (1..=m).map(move |j| (b, j)))
+            .map(|(b, j)| {
+                let y_val = b.add(&LinTerm::constant(j));
+                let conj = y_atoms.iter().map(|a| match a {
+                    YAtom::Lower(l) => PFormula::Atom(PAtom::Pos(y_val.sub(l))),
+                    YAtom::Upper(u) => PFormula::Atom(PAtom::Pos(u.sub(&y_val))),
+                    YAtom::Eq(e) => PFormula::Atom(PAtom::Zero(y_val.sub(e))),
+                    YAtom::Div(d, s, sign) => {
+                        let atom = PFormula::Atom(PAtom::Div(*d, y_val.add(s)));
+                        if *sign {
+                            atom
+                        } else {
+                            PFormula::not(atom)
+                        }
+                    }
+                });
+                psimplify(&PFormula::and(conj))
+            }),
+    );
 
     PFormula::and([PFormula::or(disjuncts), residue_formula])
 }

@@ -10,12 +10,11 @@ pub mod cooper;
 pub mod linear;
 pub mod pformula;
 
-pub use cooper::{eliminate, eliminate_exists, eliminate_exists_with, eliminate_with};
+pub use cooper::{eliminate, eliminate_exists};
 pub use linear::LinTerm;
 pub use pformula::{from_logic, PAtom, PFormula};
 
 use crate::domain::{require_sentence, DecidableTheory, Domain, DomainError};
-use fq_engine::Engine;
 use fq_logic::{Formula, Term};
 
 /// The domain ⟨ℕ, <, ≤, +, −, succ, ·const, divisibility, =⟩.
@@ -67,13 +66,9 @@ impl Domain for Presburger {
 
 impl DecidableTheory for Presburger {
     fn decide(&self, sentence: &Formula) -> Result<bool, DomainError> {
-        self.decide_with(sentence, &Engine::sequential())
-    }
-
-    fn decide_with(&self, sentence: &Formula, engine: &Engine) -> Result<bool, DomainError> {
         require_sentence(sentence)?;
         let p = from_logic(sentence, true)?;
-        Ok(eliminate_with(engine, &p).eval_ground())
+        Ok(eliminate(&p).eval_ground())
     }
 }
 

@@ -17,7 +17,6 @@ pub use lemma_a2::DESystem;
 pub use rterm::{from_logic, RAtom, RFormula, RTerm};
 
 use crate::domain::{require_sentence, DecidableTheory, Domain, DomainError};
-use fq_engine::Engine;
 use fq_logic::{Formula, Term};
 
 /// The trace domain **T**.
@@ -27,16 +26,7 @@ pub struct TraceDomain;
 impl TraceDomain {
     /// Compute a quantifier-free Reach-theory equivalent of a formula.
     pub fn quantifier_eliminate(&self, f: &Formula) -> Result<RFormula, DomainError> {
-        self.quantifier_eliminate_with(f, &Engine::sequential())
-    }
-
-    /// [`TraceDomain::quantifier_eliminate`] through a shared [`Engine`].
-    pub fn quantifier_eliminate_with(
-        &self,
-        f: &Formula,
-        engine: &Engine,
-    ) -> Result<RFormula, DomainError> {
-        Ok(qe::eliminate_with(engine, &from_logic(f)?))
+        Ok(qe::eliminate(&from_logic(f)?))
     }
 }
 
@@ -137,12 +127,8 @@ impl Domain for TraceDomain {
 
 impl DecidableTheory for TraceDomain {
     fn decide(&self, sentence: &Formula) -> Result<bool, DomainError> {
-        self.decide_with(sentence, &Engine::sequential())
-    }
-
-    fn decide_with(&self, sentence: &Formula, engine: &Engine) -> Result<bool, DomainError> {
         require_sentence(sentence)?;
-        qe::decide_with(engine, &from_logic(sentence)?)
+        qe::decide(&from_logic(sentence)?)
     }
 }
 

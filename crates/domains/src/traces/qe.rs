@@ -27,46 +27,26 @@ use super::ground::rsimplify;
 use super::lemma_a2::DESystem;
 use super::rterm::{RAtom, RFormula, RTerm};
 use crate::domain::DomainError;
-use fq_engine::Engine;
 use fq_turing::sym::Sort;
 
-/// Eliminate all quantifiers from a Reach formula, with a private
-/// sequential [`Engine`].
+/// Eliminate all quantifiers from a Reach formula, innermost first.
 pub fn eliminate(f: &RFormula) -> RFormula {
-    eliminate_with(&Engine::sequential(), f)
-}
-
-/// Eliminate all quantifiers through an explicit [`Engine`]: independent
-/// `And`/`Or` children fan out across the engine's worker threads, and
-/// `∃`-elimination results are memoized on hash-consed subformula ids.
-/// Results are identical to [`eliminate`] for every configuration.
-pub fn eliminate_with(engine: &Engine, f: &RFormula) -> RFormula {
     match f {
         RFormula::True | RFormula::False | RFormula::Atom(_) => rsimplify(f),
-        RFormula::Not(g) => RFormula::not(eliminate_with(engine, g)),
-        RFormula::And(gs) => RFormula::and(engine.parallel_map(gs, |g| eliminate_with(engine, g))),
-        RFormula::Or(gs) => RFormula::or(engine.parallel_map(gs, |g| eliminate_with(engine, g))),
-        RFormula::Exists(v, g) => rsimplify(&eliminate_exists_with(
-            engine,
+        RFormula::Not(g) => RFormula::not(eliminate(g)),
+        RFormula::And(gs) => RFormula::and(gs.iter().map(eliminate)),
+        RFormula::Or(gs) => RFormula::or(gs.iter().map(eliminate)),
+        RFormula::Exists(v, g) => rsimplify(&eliminate_exists(v, &eliminate(g))),
+        RFormula::Forall(v, g) => rsimplify(&RFormula::not(eliminate_exists(
             v,
-            &eliminate_with(engine, g),
-        )),
-        RFormula::Forall(v, g) => rsimplify(&RFormula::not(eliminate_exists_with(
-            engine,
-            v,
-            &RFormula::not(eliminate_with(engine, g)),
+            &RFormula::not(eliminate(g)),
         ))),
     }
 }
 
 /// Decide a Reach sentence: eliminate, then evaluate the ground residue.
 pub fn decide(sentence: &RFormula) -> Result<bool, DomainError> {
-    decide_with(&Engine::sequential(), sentence)
-}
-
-/// [`decide`] through an explicit [`Engine`].
-pub fn decide_with(engine: &Engine, sentence: &RFormula) -> Result<bool, DomainError> {
-    super::ground::eval_formula(&eliminate_with(engine, sentence))
+    super::ground::eval_formula(&eliminate(sentence))
 }
 
 // ---------------------------------------------------------------------
@@ -358,44 +338,24 @@ fn dnf_wrt(f: &RFormula, var: &str) -> std::collections::BTreeSet<RConjunct> {
 // Eliminating one existential.
 // ---------------------------------------------------------------------
 
-/// Eliminate `∃var` over a quantifier-free body.
+/// Eliminate `∃var` over a quantifier-free body: one Theorem A.3 round
+/// per conjunct of the B-expanded body's DNF with respect to `var`.
 pub fn eliminate_exists(var: &str, qf: &RFormula) -> RFormula {
-    eliminate_exists_with(&Engine::sequential(), var, qf)
-}
-
-/// [`eliminate_exists`] through an explicit [`Engine`].
-///
-/// The whole call and each DNF conjunct are memoized on `(var, interned
-/// formula id)` — the `∀`-driven negations of B-expansions reproduce the
-/// same conjuncts across sibling disjuncts, so both caches hit heavily.
-/// Conjuncts are eliminated in parallel and merged back in their
-/// canonical (`BTreeSet`) order, so the output never depends on thread
-/// scheduling.
-pub fn eliminate_exists_with(engine: &Engine, var: &str, qf: &RFormula) -> RFormula {
     if !qf.mentions(var) {
         return qf.clone();
     }
-    let key = (var.to_string(), engine.intern(qf.clone()).id());
-    engine.cached("reach.exists", key, || {
-        let prepared = expand_word_arguments(&positive(&rsimplify(qf), true));
-        let conjuncts: Vec<RConjunct> = dnf_wrt(&prepared, var).into_iter().collect();
-        RFormula::or(engine.parallel_map(&conjuncts, |conjunct| {
-            let key = (var.to_string(), engine.intern(conjunct.clone()).id());
-            engine.cached("reach.conjunct", key, || {
-                let (lits, opaque) = conjunct;
-                let pieces: Vec<Piece> = lits
-                    .iter()
-                    .cloned()
-                    .map(Piece::Lit)
-                    .chain(opaque.iter().cloned().map(Piece::Opaque))
-                    .collect();
-                rsimplify(&eliminate_conjunct(engine, var, pieces))
-            })
-        }))
-    })
+    let prepared = expand_word_arguments(&positive(&rsimplify(qf), true));
+    RFormula::or(dnf_wrt(&prepared, var).into_iter().map(|(lits, opaque)| {
+        let pieces = lits
+            .into_iter()
+            .map(Piece::Lit)
+            .chain(opaque.into_iter().map(Piece::Opaque))
+            .collect();
+        rsimplify(&eliminate_conjunct(var, pieces))
+    }))
 }
 
-fn eliminate_conjunct(engine: &Engine, var: &str, pieces: Vec<Piece>) -> RFormula {
+fn eliminate_conjunct(var: &str, pieces: Vec<Piece>) -> RFormula {
     let mut residue: Vec<RFormula> = Vec::new();
     let mut x_lits: Vec<RLit> = Vec::new();
     for p in pieces {
@@ -415,14 +375,14 @@ fn eliminate_conjunct(engine: &Engine, var: &str, pieces: Vec<Piece>) -> RFormul
     if x_lits.is_empty() {
         return residue;
     }
-    let sorts = [Sort::Machine, Sort::Word, Sort::Trace, Sort::Other];
-    let branches =
-        engine.parallel_map(&sorts, |sort| eliminate_sorted(engine, var, *sort, &x_lits));
+    let branches = [Sort::Machine, Sort::Word, Sort::Trace, Sort::Other]
+        .into_iter()
+        .map(|sort| eliminate_sorted(var, sort, &x_lits));
     RFormula::and([RFormula::or(branches), residue])
 }
 
 /// `∃x (sort(x) = S ∧ ⋀ lits)`, eliminated.
-fn eliminate_sorted(engine: &Engine, var: &str, sort: Sort, lits: &[RLit]) -> RFormula {
+fn eliminate_sorted(var: &str, sort: Sort, lits: &[RLit]) -> RFormula {
     // Step 1: collapse w(x)/m(x) for non-trace sorts, then split literals
     // into x-free residue and sort-specific constraint shapes.
     let collapse = |t: &RTerm| -> RTerm {
@@ -595,7 +555,6 @@ fn eliminate_sorted(engine: &Engine, var: &str, sort: Sort, lits: &[RLit]) -> RF
             }
         }
         Sort::Trace => eliminate_trace_case(
-            engine,
             var,
             &m_eqs,
             &m_neqs,
@@ -691,7 +650,6 @@ fn merge_prefixes(prefixes: &[String]) -> Option<String> {
 /// Case T of the elimination (subcases T−1 … T−4).
 #[allow(clippy::too_many_arguments)]
 fn eliminate_trace_case(
-    engine: &Engine,
     _var: &str,
     m_eqs: &[RTerm],
     m_neqs: &[RTerm],
@@ -828,7 +786,7 @@ fn eliminate_trace_case(
                     v.clone(),
                 )));
             }
-            parts.push(excluded_traces_disjunction(engine, &t, &v, neq_x));
+            parts.push(excluded_traces_disjunction(&t, &v, neq_x));
             RFormula::and(parts)
         }
     }
@@ -840,7 +798,7 @@ fn eliminate_trace_case(
 /// true–false assertions about the machines [and words] of p₁ … p_n" and
 /// the equality patterns among them.
 #[allow(clippy::needless_range_loop)]
-fn excluded_traces_disjunction(engine: &Engine, t: &RTerm, v: &RTerm, ps: &[RTerm]) -> RFormula {
+fn excluded_traces_disjunction(t: &RTerm, v: &RTerm, ps: &[RTerm]) -> RFormula {
     if ps.is_empty() {
         // D_1(t, v) holds whenever t is a machine and v a word — already
         // asserted by the caller.
@@ -854,11 +812,9 @@ fn excluded_traces_disjunction(engine: &Engine, t: &RTerm, v: &RTerm, ps: &[RTer
             RFormula::Atom(RAtom::Eq(RTerm::w_of(p.clone()), v.clone())),
         ])
     };
-    // Status bitmap: which pᵢ are traces of t in v. The 2^n bitmaps are
-    // independent, so each one's partition disjuncts are built on a worker
-    // and flattened back in bitmap order.
-    let statuses: Vec<u32> = (0..1u32 << n).collect();
-    let per_status = engine.parallel_map(&statuses, |&status| {
+    // Status bitmap: which pᵢ are traces of t in v.
+    let mut disjuncts = Vec::new();
+    for status in 0..1u32 << n {
         let yes: Vec<usize> = (0..n).filter(|i| status & (1 << i) != 0).collect();
         let mut base = Vec::new();
         for i in 0..n {
@@ -870,7 +826,6 @@ fn excluded_traces_disjunction(engine: &Engine, t: &RTerm, v: &RTerm, ps: &[RTer
             });
         }
         // Partitions of the yes-set into equality classes.
-        let mut disjuncts = Vec::new();
         for partition in set_partitions(yes.len()) {
             let k = partition.iter().copied().max().map_or(0, |m| m + 1);
             let mut conj = base.clone();
@@ -890,9 +845,8 @@ fn excluded_traces_disjunction(engine: &Engine, t: &RTerm, v: &RTerm, ps: &[RTer
             }
             disjuncts.push(RFormula::and(conj));
         }
-        disjuncts
-    });
-    RFormula::or(per_status.into_iter().flatten())
+    }
+    RFormula::or(disjuncts)
 }
 
 /// All set partitions of `{0, …, n−1}` as restricted-growth strings.

@@ -1,24 +1,20 @@
-//! The shared decision-engine layer.
+//! The shared engine layer: one [`Engine`] handle, cheap to clone (an
+//! `Arc`), providing two services.
 //!
-//! Every decision procedure in the workspace — Cooper elimination for
-//! ⟨ℕ, <, +⟩, the Reach-theory QE for the trace domain, and the
-//! Theorem 3.1 machines × formulas dovetail — funnels its hot loops
-//! through one [`Engine`] handle, which provides three services:
-//!
-//! 1. **Hash-consing** ([`Engine::intern`]): structurally equal values
-//!    intern to one [`Interned`] id, giving `O(1)` equality and compact
-//!    cache keys.
-//! 2. **Memoization** ([`Engine::cached`]): bounded per-type caches so
-//!    the DNF/B-expansion blowup stops re-eliminating duplicate
-//!    subproblems.
-//! 3. **Multi-core fan-out** ([`Engine::parallel_map`]): a
+//! 1. **Memoization** ([`Engine::cached`]): bounded, sharded,
+//!    namespaced caches. The query layer keeps its plans (`query.plan`)
+//!    and the verdicts of QE-decided sentences in them, and the
+//!    Section 1.1 enumerate-and-ask loop keeps its decided sentences
+//!    (`core.answer.decide`).
+//! 2. **Multi-core fan-out** ([`Engine::parallel_map`]): a
 //!    `std::thread::scope`-based parallel map over independent
-//!    subproblems. Results are merged in input order — parallel and
+//!    subproblems, used by the physical executor's morsels and the slot
+//!    evaluator. Results are merged in input order — parallel and
 //!    sequential runs produce *identical* output, never first-wins.
 //!
-//! The handle is cheap to clone (an `Arc`) and configured by
-//! [`EngineConfig`]`{ threads, cache_capacity }`, so benchmarks can A/B
-//! sequential vs parallel and cold vs cached runs of the same code.
+//! The decision procedures themselves (Cooper, the Theorem A.3
+//! elimination) are plain sequential functions and take no engine.
+//! [`EngineConfig`]`{ threads }` sets the fan-out width.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -26,10 +22,10 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Lock shards per memo cache / intern pool. Concurrent executors map
-/// to different shards with probability `1 - 1/SHARDS` per key pair, so
-/// the hot read path (`RwLock::read` on one shard) effectively never
-/// serializes; `bench_serve`'s contention rows measure exactly this.
+/// Lock shards per memo cache. Concurrent executors map to different
+/// shards with probability `1 - 1/SHARDS` per key pair, so the hot read
+/// path (`RwLock::read` on one shard) effectively never serializes;
+/// `bench_serve`'s contention rows measure exactly this.
 const SHARDS: usize = 16;
 
 /// The shard a key hashes to. Uses the std hasher (the shard's inner
@@ -47,21 +43,18 @@ pub struct EngineConfig {
     /// Worker threads the engine may use, including the calling thread.
     /// `1` means fully sequential.
     pub threads: usize,
-    /// Entries each memo cache may hold before it is reset.
-    /// `0` disables memoization.
-    pub cache_capacity: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            threads: 1,
-            cache_capacity: 1 << 16,
-        }
+        EngineConfig { threads: 1 }
     }
 }
 
-/// Type-erased per-namespace engine state: memo caches and intern pools.
+/// Entries each memo cache namespace may hold before its shards reset.
+const CACHE_CAPACITY: usize = 1 << 16;
+
+/// Type-erased per-namespace engine state: one memo cache per namespace.
 type StateMap = HashMap<(TypeId, &'static str), Arc<dyn Any + Send + Sync>>;
 
 struct Inner {
@@ -71,9 +64,9 @@ struct Inner {
     /// `threads` instead of multiplying at every nesting level.
     borrowed_workers: AtomicUsize,
     /// Type-erased map from `(TypeId, namespace)` to a `MemoCache<K, V>`
-    /// or `InternPool<T>` for that type. Read-locked on the hot path
-    /// (the namespace set stabilizes after warm-up); write-locked only
-    /// to install a new namespace.
+    /// for that type. Read-locked on the hot path (the namespace set
+    /// stabilizes after warm-up); write-locked only to install a new
+    /// namespace.
     state: RwLock<StateMap>,
     hits: AtomicUsize,
     misses: AtomicUsize,
@@ -95,7 +88,6 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("threads", &self.inner.config.threads)
-            .field("cache_capacity", &self.inner.config.cache_capacity)
             .finish()
     }
 }
@@ -113,22 +105,9 @@ impl Engine {
         }
     }
 
-    /// Single-threaded, memoizing engine (the default for plain
-    /// `decide()` calls).
+    /// Single-threaded, memoizing engine.
     pub fn sequential() -> Self {
         Engine::new(EngineConfig::default())
-    }
-
-    /// Engine using every available core.
-    pub fn parallel() -> Self {
-        Engine::new(EngineConfig {
-            threads: available_threads(),
-            ..EngineConfig::default()
-        })
-    }
-
-    pub fn config(&self) -> EngineConfig {
-        self.inner.config
     }
 
     pub fn threads(&self) -> usize {
@@ -144,26 +123,11 @@ impl Engine {
     }
 
     // -----------------------------------------------------------------
-    // Hash-consing.
-    // -----------------------------------------------------------------
-
-    /// Intern a value: structurally equal values (under `Eq`/`Hash`)
-    /// yield [`Interned`] handles with the same id and shared storage.
-    pub fn intern<T>(&self, value: T) -> Interned<T>
-    where
-        T: Eq + Hash + Send + Sync + 'static,
-    {
-        let pool = self.typed::<InternPool<T>>("intern");
-        pool.intern(value)
-    }
-
-    // -----------------------------------------------------------------
     // Memoization.
     // -----------------------------------------------------------------
 
     /// Return the cached value for `key` in `namespace`, computing and
-    /// storing it on a miss. With `cache_capacity == 0` this is just
-    /// `compute()`.
+    /// storing it on a miss.
     ///
     /// The cache is semantically transparent: `compute` must be a pure
     /// function of `key`.
@@ -173,9 +137,6 @@ impl Engine {
         V: Clone + Send + Sync + 'static,
         F: FnOnce() -> V,
     {
-        if self.inner.config.cache_capacity == 0 {
-            return compute();
-        }
         let cache = self.typed::<MemoCache<K, V>>(namespace);
         if let Some(v) = cache.get(&key) {
             self.inner.hits.fetch_add(1, Ordering::Relaxed);
@@ -183,7 +144,7 @@ impl Engine {
         }
         self.inner.misses.fetch_add(1, Ordering::Relaxed);
         let v = compute();
-        cache.put(key, v.clone(), self.inner.config.cache_capacity);
+        cache.put(key, v.clone());
         v
     }
 
@@ -322,108 +283,11 @@ pub fn threads_from_env() -> usize {
 
 impl Engine {
     /// Engine configured from the environment: `FQ_THREADS` worker
-    /// threads (hardware threads when unset), default cache capacity.
+    /// threads (hardware threads when unset).
     pub fn from_env() -> Self {
         Engine::new(EngineConfig {
             threads: threads_from_env(),
-            ..EngineConfig::default()
         })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Interner.
-// ---------------------------------------------------------------------
-
-/// A hash-consed value: one shared allocation per distinct value, with
-/// id-based `O(1)` equality and hashing.
-#[derive(Debug)]
-pub struct Interned<T> {
-    id: u64,
-    value: Arc<T>,
-}
-
-impl<T> Interned<T> {
-    /// The value's id: equal ids ⟺ structurally equal values (within
-    /// one engine).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-}
-
-impl<T> Clone for Interned<T> {
-    fn clone(&self) -> Self {
-        Interned {
-            id: self.id,
-            value: Arc::clone(&self.value),
-        }
-    }
-}
-
-impl<T> std::ops::Deref for Interned<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.value
-    }
-}
-
-impl<T> PartialEq for Interned<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-    }
-}
-
-impl<T> Eq for Interned<T> {}
-
-impl<T> Hash for Interned<T> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.id.hash(state);
-    }
-}
-
-/// Per-type hash-consing pool, sharded by value hash so concurrent
-/// interners of *different* values rarely touch the same lock, and
-/// re-interning an existing value (the hot case) takes only a shard
-/// read lock. A value's shard is a pure function of its hash, so ids —
-/// `slot_in_shard * SHARDS + shard` — stay canonical: one id per
-/// distinct value for the engine's lifetime.
-struct InternPool<T> {
-    shards: Vec<RwLock<HashMap<Arc<T>, u64>>>,
-}
-
-impl<T> Default for InternPool<T> {
-    fn default() -> Self {
-        InternPool {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-        }
-    }
-}
-
-impl<T: Eq + Hash> InternPool<T> {
-    fn intern(&self, value: T) -> Interned<T> {
-        let shard = &self.shards[shard_of(&value)];
-        {
-            let map = shard.read().expect("intern pool poisoned");
-            if let Some((stored, id)) = map.get_key_value(&value) {
-                return Interned {
-                    id: *id,
-                    value: Arc::clone(stored),
-                };
-            }
-        }
-        let mut map = shard.write().expect("intern pool poisoned");
-        // Re-check: another thread may have interned between the locks.
-        if let Some((stored, id)) = map.get_key_value(&value) {
-            return Interned {
-                id: *id,
-                value: Arc::clone(stored),
-            };
-        }
-        let id = (map.len() * SHARDS + shard_of(&value)) as u64;
-        let stored = Arc::new(value);
-        map.insert(Arc::clone(&stored), id);
-        Interned { id, value: stored }
     }
 }
 
@@ -457,11 +321,11 @@ impl<K: Eq + Hash, V: Clone> MemoCache<K, V> {
             .cloned()
     }
 
-    fn put(&self, key: K, value: V, capacity: usize) {
+    fn put(&self, key: K, value: V) {
         let mut map = self.shards[shard_of(&key)]
             .write()
             .expect("memo cache poisoned");
-        if map.len() >= capacity.div_ceil(SHARDS).max(1) {
+        if map.len() >= CACHE_CAPACITY / SHARDS {
             map.clear();
         }
         map.insert(key, value);
@@ -485,10 +349,7 @@ mod tests {
         let items: Vec<u64> = (0..500).collect();
         let sequential: Vec<u64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 4, 8] {
-            let engine = Engine::new(EngineConfig {
-                threads,
-                cache_capacity: 0,
-            });
+            let engine = Engine::new(EngineConfig { threads });
             let parallel = engine.parallel_map(&items, |x| x * x);
             assert_eq!(parallel, sequential, "threads = {threads}");
         }
@@ -496,10 +357,7 @@ mod tests {
 
     #[test]
     fn nested_parallel_maps_stay_within_budget() {
-        let engine = Engine::new(EngineConfig {
-            threads: 4,
-            cache_capacity: 0,
-        });
+        let engine = Engine::new(EngineConfig { threads: 4 });
         let outer: Vec<u64> = (0..8).collect();
         let result = engine.parallel_map(&outer, |&i| {
             let inner: Vec<u64> = (0..50).collect();
@@ -514,19 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn interning_shares_ids() {
-        let engine = Engine::default();
-        let a = engine.intern("hello".to_string());
-        let b = engine.intern("hello".to_string());
-        let c = engine.intern("world".to_string());
-        assert_eq!(a, b);
-        assert_eq!(a.id(), b.id());
-        assert_ne!(a, c);
-        assert_eq!(&*a, "hello");
-    }
-
-    #[test]
-    fn cache_memoizes_and_respects_capacity_zero() {
+    fn cache_memoizes() {
         let engine = Engine::default();
         let mut calls = 0;
         let v1 = engine.cached("t", 7u64, || {
@@ -541,19 +387,6 @@ mod tests {
         assert_eq!((v1, v2), (42, 42));
         assert_eq!((calls, calls2), (1, 0));
         assert_eq!(engine.cache_stats(), (1, 1));
-
-        let cold = Engine::new(EngineConfig {
-            threads: 1,
-            cache_capacity: 0,
-        });
-        let mut cold_calls = 0;
-        for _ in 0..3 {
-            cold.cached("t", 7u64, || {
-                cold_calls += 1;
-                1u64
-            });
-        }
-        assert_eq!(cold_calls, 3);
     }
 
     #[test]
@@ -566,47 +399,31 @@ mod tests {
 
     #[test]
     fn cache_overflow_resets_instead_of_growing() {
-        let engine = Engine::new(EngineConfig {
-            threads: 1,
-            cache_capacity: 4,
-        });
-        for k in 0..1000u64 {
+        let engine = Engine::default();
+        for k in 0..(2 * CACHE_CAPACITY) as u64 {
             engine.cached("bounded", k, || k);
         }
         let cache = engine.typed::<MemoCache<u64, u64>>("bounded");
-        // Capacity splits across shards; each shard resets on overflow,
-        // so the total stays bounded by one entry per shard slot.
-        assert!(cache.len() <= SHARDS * 4usize.div_ceil(SHARDS).max(1));
+        // Each shard resets on overflow, so the total stays bounded by
+        // the capacity.
+        assert!(cache.len() <= CACHE_CAPACITY);
     }
 
     #[test]
-    fn caches_and_interner_are_shared_across_threads() {
-        // One engine, many executors: concurrent interns of the same
-        // value agree on one id, and a value cached by any thread is a
+    fn caches_are_shared_across_threads() {
+        // One engine, many executors: a value cached by any thread is a
         // hit for every other.
-        let engine = Engine::new(EngineConfig {
-            threads: 1, // worker budget is irrelevant here
-            ..EngineConfig::default()
+        let engine = Engine::sequential();
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                let engine = engine.clone();
+                scope.spawn(move || {
+                    for k in 0..200u64 {
+                        assert_eq!(engine.cached("shared", k % 50, |/* pure */| k % 50), k % 50);
+                    }
+                });
+            }
         });
-        let ids: Vec<Vec<u64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    let engine = engine.clone();
-                    scope.spawn(move || {
-                        (0..200u64)
-                            .map(|k| {
-                                engine.cached("shared", k % 50, |/* pure */| k % 50);
-                                engine.intern(format!("v{}", k % 50)).id()
-                            })
-                            .collect::<Vec<u64>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for other in &ids[1..] {
-            assert_eq!(&ids[0], other, "interned ids are canonical");
-        }
         let (hits, misses) = engine.cache_stats();
         assert_eq!(hits + misses, 8 * 200);
         assert!(misses <= 50 * 8, "worst case: every thread misses first");
@@ -615,11 +432,8 @@ mod tests {
 
     #[test]
     fn parallel_map_usable_from_cached_compute() {
-        // The common composition: a cached QE step fans out internally.
-        let engine = Engine::new(EngineConfig {
-            threads: 4,
-            cache_capacity: 16,
-        });
+        // A cached computation may fan out internally.
+        let engine = Engine::new(EngineConfig { threads: 4 });
         let items: Vec<u64> = (0..40).collect();
         let total = engine.cached("combo", 1u64, || {
             engine

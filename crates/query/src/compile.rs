@@ -4,7 +4,6 @@
 //! works on the same canonical formula.
 
 use crate::error::QueryError;
-use fq_engine::Engine;
 use fq_logic::transform::{nnf, simplify};
 use fq_logic::{bind_constants, parse_formula, Formula};
 use fq_relational::safe_range::{check_safe_range, NotSafeRange};
@@ -26,9 +25,6 @@ pub struct CompiledQuery {
     pub normalized: Formula,
     /// Free (answer) variables, sorted.
     pub free_vars: Vec<String>,
-    /// Hash-consed id of the normalized formula in the compiling
-    /// engine's intern pool — `O(1)` equality for cache keys.
-    pub query_id: u64,
 }
 
 impl CompiledQuery {
@@ -45,11 +41,7 @@ impl CompiledQuery {
 }
 
 /// Compile `source` against `schema`.
-pub fn compile(
-    schema: &Schema,
-    source: &str,
-    engine: &Engine,
-) -> Result<CompiledQuery, QueryError> {
+pub fn compile(schema: &Schema, source: &str) -> Result<CompiledQuery, QueryError> {
     let raw = parse_formula(source).map_err(|error| QueryError::Parse {
         source: source.to_string(),
         error,
@@ -61,14 +53,12 @@ pub fn compile(
     })?;
     let normalized = simplify(&nnf(&query));
     let free_vars: Vec<String> = query.free_vars().into_iter().collect();
-    let query_id = engine.intern(normalized.to_string()).id();
     Ok(CompiledQuery {
         source: source.to_string(),
         schema: schema.clone(),
         query,
         normalized,
         free_vars,
-        query_id,
     })
 }
 
@@ -108,8 +98,7 @@ mod tests {
 
     #[test]
     fn compiles_and_normalizes() {
-        let engine = Engine::sequential();
-        let c = compile(&schema(), "!(!F(x, y) | x = y)", &engine).unwrap();
+        let c = compile(&schema(), "!(!F(x, y) | x = y)").unwrap();
         assert_eq!(c.free_vars, vec!["x".to_string(), "y".to_string()]);
         // NNF pushed the negation inward.
         assert_eq!(c.normalized.to_string(), "F(x, y) & x != y");
@@ -117,8 +106,7 @@ mod tests {
 
     #[test]
     fn parse_errors_carry_the_source() {
-        let engine = Engine::sequential();
-        match compile(&schema(), "exists x. (", &engine) {
+        match compile(&schema(), "exists x. (") {
             Err(QueryError::Parse { source, .. }) => assert_eq!(source, "exists x. ("),
             other => panic!("unexpected: {other:?}"),
         }
@@ -126,8 +114,7 @@ mod tests {
 
     #[test]
     fn arity_mismatch_is_a_signature_error() {
-        let engine = Engine::sequential();
-        match compile(&schema(), "F(x, y, z)", &engine) {
+        match compile(&schema(), "F(x, y, z)") {
             Err(QueryError::Signature { detail, .. }) => {
                 assert!(detail.contains("arity 2"), "{detail}")
             }
@@ -137,18 +124,16 @@ mod tests {
 
     #[test]
     fn scheme_constants_are_bound_not_free() {
-        let engine = Engine::sequential();
-        let c = compile(&schema(), "F(c, x)", &engine).unwrap();
+        let c = compile(&schema(), "F(c, x)").unwrap();
         assert_eq!(c.free_vars, vec!["x".to_string()]);
         assert!(!c.is_sentence());
     }
 
     #[test]
-    fn interning_gives_equal_ids_for_equal_queries() {
-        let engine = Engine::sequential();
-        let a = compile(&schema(), "F(x, y) & x != y", &engine).unwrap();
+    fn normalization_equal_queries_compile_equal() {
+        let a = compile(&schema(), "F(x, y) & x != y").unwrap();
         // A differently written but normalization-equal query.
-        let b = compile(&schema(), "!(!F(x, y) | x = y)", &engine).unwrap();
-        assert_eq!(a.query_id, b.query_id);
+        let b = compile(&schema(), "!(!F(x, y) | x = y)").unwrap();
+        assert_eq!(a.normalized, b.normalized);
     }
 }

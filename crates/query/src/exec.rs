@@ -1,7 +1,9 @@
 //! Stage 3 — **execute**: run a planned query through the engine,
 //! memoizing plans in the `query.plan` namespace so a repeated query
 //! skips the whole compile + plan work (including any relative-safety
-//! precheck, the expensive part), and return a uniform [`QueryOutcome`].
+//! precheck, the expensive part), memoizing the verdicts of QE-decided
+//! sentences in `query.verdict` so a repeated sentence skips the §1.1
+//! fold and the elimination, and return a uniform [`QueryOutcome`].
 
 use crate::compile::{compile, CompiledQuery};
 use crate::error::QueryError;
@@ -19,6 +21,10 @@ use std::sync::Arc;
 
 /// The memo namespace holding planned queries.
 pub const PLAN_CACHE_NAMESPACE: &str = "query.plan";
+
+/// The memo namespace holding the verdicts of QE-decided sentences,
+/// keyed like the plan cache by `(domain, source, state fingerprint)`.
+const VERDICT_CACHE_NAMESPACE: &str = "query.verdict";
 
 /// Default candidate budget for the enumerate-and-ask strategy.
 pub const DEFAULT_MAX_CANDIDATES: usize = 10_000;
@@ -62,7 +68,7 @@ pub struct ExecStats {
     /// Entries in the state's interning dictionary (strings plus
     /// naturals too large to store inline).
     pub dict_entries: usize,
-    /// Interned strings among those entries.
+    /// Strings among those entries.
     pub dict_strings: usize,
     /// Tuples in the state's columnar store, across all relations.
     pub stored_rows: usize,
@@ -184,7 +190,7 @@ impl Executor {
 
     /// Stage 1 only: compile a query against a scheme.
     pub fn compile(&self, schema: &Schema, source: &str) -> Result<CompiledQuery, QueryError> {
-        compile(schema, source, &self.engine)
+        compile(schema, source)
     }
 
     /// Stages 1–2, memoized: compile and plan, returning the plan and
@@ -211,7 +217,7 @@ impl Executor {
         let computed = Cell::new(false);
         let planned = self.engine.cached(PLAN_CACHE_NAMESPACE, key, || {
             computed.set(true);
-            let compiled = compile(state.schema(), source, &self.engine)?;
+            let compiled = compile(state.schema(), source)?;
             plan_with(
                 &compiled,
                 domain,
@@ -411,10 +417,14 @@ impl Executor {
                     }
                 }
                 QueryPlan::QeDecide { .. } => {
-                    let sentence = translate_to_domain_formula(&compiled.normalized, state);
-                    let value = self
-                        .registry
-                        .decide(planned.domain, &sentence, &self.engine)?;
+                    // The verdict is a pure function of the domain, the
+                    // query text and the state's content, so a hit skips
+                    // both the §1.1 fold and the elimination.
+                    let key = (planned.domain, compiled.source.clone(), state.fingerprint());
+                    let value = self.engine.cached(VERDICT_CACHE_NAMESPACE, key, || {
+                        let sentence = translate_to_domain_formula(&compiled.normalized, state);
+                        self.registry.decide(planned.domain, &sentence)
+                    })?;
                     (Vec::new(), Completeness::Decided { value })
                 }
             };
@@ -581,11 +591,8 @@ mod tests {
                 .unwrap();
             assert_eq!(baseline.plan.strategy(), "ranf", "{src}");
             for threads in [2, 4] {
-                let exec = Executor::new(Engine::new(EngineConfig {
-                    threads,
-                    ..EngineConfig::default()
-                }))
-                .with_morsel_rows(16);
+                let exec =
+                    Executor::new(Engine::new(EngineConfig { threads })).with_morsel_rows(16);
                 let out = exec.execute(&state, src, DomainId::Nat).unwrap();
                 assert_eq!(out.rows, baseline.rows, "rows drift on {src}");
                 assert_eq!(out.completeness, baseline.completeness, "{src}");
@@ -618,6 +625,39 @@ mod tests {
             .execute(&fathers(), "exists x. F(x, x)", DomainId::Nat)
             .unwrap();
         assert_eq!(no.completeness, Completeness::Decided { value: false });
+        // The verdict memo is keyed by the state's content.
+        let looped = fathers().with_tuple("F", vec![Value::Nat(5), Value::Nat(5)]);
+        let yes = exec
+            .execute(&looped, "exists x. F(x, x)", DomainId::Nat)
+            .unwrap();
+        assert_eq!(yes.completeness, Completeness::Decided { value: true });
+    }
+
+    #[test]
+    fn repeated_sentences_hit_only_the_plan_and_the_verdict() {
+        for (domain, sentence, expect) in [
+            (DomainId::Eq, "forall x y. exists z. z != x & z != y", true),
+            (DomainId::Nat, "exists y. forall x. y <= x", true),
+            (DomainId::Int, "exists y. forall x. y <= x", false),
+            (DomainId::Succ, "forall x. x' != 0", true),
+            (
+                DomainId::Presburger,
+                "forall x. div(2, x, 0) | div(2, x, 1)",
+                true,
+            ),
+            (DomainId::Words, "forall x. exists y. llex(x, y)", true),
+            (DomainId::Traces, "forall p. T(p) -> M(m(p))", true),
+        ] {
+            let exec = Executor::default();
+            assert_eq!(exec.decide(domain, sentence).unwrap(), expect, "{domain}");
+            let (hits, misses) = exec.engine().cache_stats();
+            assert_eq!(exec.decide(domain, sentence).unwrap(), expect, "{domain}");
+            assert_eq!(
+                exec.engine().cache_stats(),
+                (hits + 2, misses),
+                "{domain}: a repeat must hit the plan and the verdict, nothing else"
+            );
+        }
     }
 
     #[test]
@@ -683,11 +723,8 @@ mod tests {
                 .unwrap();
             assert_eq!(baseline.stats.threads, 1);
             for threads in [2, 4, 8] {
-                let exec = Executor::new(Engine::new(EngineConfig {
-                    threads,
-                    ..EngineConfig::default()
-                }))
-                .with_morsel_rows(16);
+                let exec =
+                    Executor::new(Engine::new(EngineConfig { threads })).with_morsel_rows(16);
                 let out = exec.execute(&state, src, DomainId::Eq).unwrap();
                 assert_eq!(
                     out.rows, baseline.rows,

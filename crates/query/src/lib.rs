@@ -9,13 +9,13 @@
 //! cacheable:
 //!
 //! * [`compile`] — parse, bind scheme constants, arity-check against the
-//!   [`Schema`](fq_relational::Schema), normalize (NNF + folding), and
-//!   hash-cons through the shared [`Engine`](fq_engine::Engine);
+//!   [`Schema`](fq_relational::Schema), and normalize (NNF + folding);
 //! * [`plan`] — a [`QueryPlan`] choosing among algebra, active-domain,
 //!   enumerate-and-ask (with an explicit candidate budget and a
 //!   relative-safety precheck), or QE decision — each recording *why*;
 //! * [`exec`] — an [`Executor`] that memoizes plans in the engine's
-//!   `query.plan` namespace and returns a uniform [`QueryOutcome`] with
+//!   `query.plan` namespace and the verdicts of QE-decided sentences in
+//!   `query.verdict`, and returns a uniform [`QueryOutcome`] with
 //!   answers, a completeness certificate, and cache statistics;
 //! * [`registry`] — the [`DomainRegistry`]: one table for the seven
 //!   decidable domains (`eq|nat|int|succ|presburger|words|traces`),

@@ -524,7 +524,6 @@ fn carrier_compatible(domain: DomainId, state: &State, query: &Formula) -> bool 
 mod tests {
     use super::*;
     use crate::compile::compile;
-    use fq_engine::Engine;
     use fq_relational::{Schema, Value};
 
     fn fathers() -> State {
@@ -537,8 +536,7 @@ mod tests {
 
     fn plan_for(src: &str, domain: DomainId) -> PlannedQuery {
         let state = fathers();
-        let engine = Engine::sequential();
-        let compiled = compile(state.schema(), src, &engine).unwrap();
+        let compiled = compile(state.schema(), src).unwrap();
         plan(&compiled, domain, &state, 100).unwrap()
     }
 
@@ -601,8 +599,7 @@ mod tests {
     #[test]
     fn ranf_mode_off_restores_the_budgeted_fallback() {
         let state = fathers();
-        let engine = Engine::sequential();
-        let compiled = compile(state.schema(), "!F(x, y)", &engine).unwrap();
+        let compiled = compile(state.schema(), "!F(x, y)").unwrap();
         let p = plan_with(
             &compiled,
             DomainId::Nat,
@@ -619,8 +616,7 @@ mod tests {
     #[test]
     fn ranf_mode_force_splits_safe_range_queries() {
         let state = fathers();
-        let engine = Engine::sequential();
-        let compiled = compile(state.schema(), "exists y. F(x, y) & F(y, z)", &engine).unwrap();
+        let compiled = compile(state.schema(), "exists y. F(x, y) & F(y, z)").unwrap();
         let p = plan_with(
             &compiled,
             DomainId::Eq,

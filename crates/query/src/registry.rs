@@ -187,21 +187,16 @@ fn collect_funcs(t: &fq_logic::Term, out: &mut Vec<String>) {
 pub struct DomainRegistry;
 
 impl DomainRegistry {
-    /// Decide a pure-domain sentence through the engine.
-    pub fn decide(
-        &self,
-        id: DomainId,
-        sentence: &Formula,
-        engine: &Engine,
-    ) -> Result<bool, DomainError> {
+    /// Decide a pure-domain sentence.
+    pub fn decide(&self, id: DomainId, sentence: &Formula) -> Result<bool, DomainError> {
         match id {
-            DomainId::Eq => EqDomain.decide_with(sentence, engine),
-            DomainId::Nat => NatOrder.decide_with(sentence, engine),
-            DomainId::Int => IntOrder.decide_with(sentence, engine),
-            DomainId::Succ => NatSucc.decide_with(sentence, engine),
-            DomainId::Presburger => Presburger.decide_with(sentence, engine),
-            DomainId::Words => WordsLlex.decide_with(sentence, engine),
-            DomainId::Traces => TraceDomain.decide_with(sentence, engine),
+            DomainId::Eq => EqDomain.decide(sentence),
+            DomainId::Nat => NatOrder.decide(sentence),
+            DomainId::Int => IntOrder.decide(sentence),
+            DomainId::Succ => NatSucc.decide(sentence),
+            DomainId::Presburger => Presburger.decide(sentence),
+            DomainId::Words => WordsLlex.decide(sentence),
+            DomainId::Traces => TraceDomain.decide(sentence),
         }
     }
 

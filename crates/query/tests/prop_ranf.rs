@@ -66,12 +66,9 @@ fn sorted_rows(rows: &[Vec<Value>]) -> BTreeSet<Vec<Value>> {
 }
 
 fn executor(ranf: RanfMode, threads: usize) -> Executor {
-    Executor::new(Engine::new(EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    }))
-    .with_ranf(ranf)
-    .with_max_candidates(2_000)
+    Executor::new(Engine::new(EngineConfig { threads }))
+        .with_ranf(ranf)
+        .with_max_candidates(2_000)
 }
 
 proptest! {

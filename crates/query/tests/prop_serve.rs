@@ -80,10 +80,7 @@ fn batch_rows(b: u64) -> Vec<Vec<Value>> {
 #[test]
 fn pinned_readers_are_isolated_and_publishes_are_atomic() {
     let shared = seeded_shared();
-    let exec = Executor::new(Engine::new(EngineConfig {
-        threads: 2,
-        ..Default::default()
-    }));
+    let exec = Executor::new(Engine::new(EngineConfig { threads: 2 }));
 
     let pinned = shared.snapshot();
     let baselines: Vec<_> = QUERIES
@@ -220,19 +217,13 @@ proptest! {
         picks in proptest::collection::vec(0usize..QUERIES.len(), 1..10),
         threads in 1usize..=8,
     ) {
-        let shared_exec = Executor::new(Engine::new(EngineConfig {
-            threads: threads.min(4),
-            ..Default::default()
-        }));
+        let shared_exec = Executor::new(Engine::new(EngineConfig { threads: threads.min(4) }));
         let workload: Vec<&str> = picks.iter().map(|&i| QUERIES[i]).collect();
 
         // Private baseline: cold caches for every single query.
         let mut expected = Vec::new();
         for q in &workload {
-            let private = Executor::new(Engine::new(EngineConfig {
-                threads: 1,
-                ..Default::default()
-            }));
+            let private = Executor::new(Engine::new(EngineConfig { threads: 1 }));
             expected.push(private.execute(&state, q, DomainId::Eq));
         }
 

@@ -419,10 +419,7 @@ mod tests {
     #[test]
     fn eval_query_with_matches_string_env_evaluator() {
         for threads in [1, 4] {
-            let engine = Engine::new(fq_engine::EngineConfig {
-                threads,
-                ..Default::default()
-            });
+            let engine = Engine::new(fq_engine::EngineConfig { threads });
             for (src, vars) in [
                 ("exists y z. y != z & F(x, y) & F(x, z)", vec!["x"]),
                 ("exists y. F(x, y) & F(y, z)", vec!["x", "z"]),

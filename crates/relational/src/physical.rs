@@ -1264,10 +1264,7 @@ mod tests {
             let plan = PhysicalPlan::compile(&optimize(&expr, &state).expr);
             let sequential = plan.execute_with_stats(&state);
             for threads in [1, 2, 4, 8] {
-                let engine = Engine::new(EngineConfig {
-                    threads,
-                    ..EngineConfig::default()
-                });
+                let engine = Engine::new(EngineConfig { threads });
                 // Morsel sizes straddling the edge cases: every row its
                 // own morsel, a non-divisor, an exact divisor of 400,
                 // one morsel total, and rows < morsel size.
@@ -1295,10 +1292,7 @@ mod tests {
         let f = parse_formula("exists y. F(x, y) & F(y, z)").unwrap();
         let expr = compile(state.schema(), &f).unwrap();
         let plan = PhysicalPlan::compile(&optimize(&expr, &state).expr);
-        let engine = Engine::new(EngineConfig {
-            threads: 4,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new(EngineConfig { threads: 4 });
         let report = plan.execute_with_stats_on(&state, &engine, ExecOpts { morsel_rows: 16 });
         assert!(
             report.operators.iter().any(|s| s.morsels >= 2),
@@ -1315,10 +1309,7 @@ mod tests {
         use fq_engine::{Engine, EngineConfig};
         let schema = Schema::new().with_relation("F", 2).with_relation("S", 1);
         let state = State::new(schema);
-        let engine = Engine::new(EngineConfig {
-            threads: 4,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new(EngineConfig { threads: 4 });
         for q in ["F(x, y)", "F(x, y) & S(y)", "F(x, y) & !F(y, x)"] {
             let f = parse_formula(q).unwrap();
             let expr = compile(state.schema(), &f).unwrap();

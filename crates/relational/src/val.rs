@@ -1139,7 +1139,7 @@ mod tests {
     #[test]
     fn keyed_and_direct_merges_agree_across_the_heuristic() {
         let mut d = Dict::default();
-        // Interned strings with long shared prefixes plus boundary nats.
+        // Dictionary strings with long shared prefixes plus boundary nats.
         let values: Vec<Value> = (0..300)
             .map(|i| match i % 3 {
                 0 => Value::Str(format!("machine#shared-prefix#{:03}", i / 3)),

@@ -254,7 +254,7 @@ proptest! {
         };
         let plan = PhysicalPlan::compile(&optimize(&expr, &state).expr);
         let sequential = plan.execute(&state);
-        let engine = Engine::new(EngineConfig { threads, ..EngineConfig::default() });
+        let engine = Engine::new(EngineConfig { threads });
         let parallel = plan
             .execute_with_stats_on(&state, &engine, ExecOpts { morsel_rows })
             .relation;
@@ -274,7 +274,7 @@ proptest! {
     ) {
         let plan = PhysicalPlan::compile(&expr);
         let sequential = plan.execute(&state);
-        let engine = Engine::new(EngineConfig { threads, ..EngineConfig::default() });
+        let engine = Engine::new(EngineConfig { threads });
         let parallel = plan
             .execute_with_stats_on(&state, &engine, ExecOpts { morsel_rows })
             .relation;
@@ -299,7 +299,7 @@ proptest! {
             "not lowered to an anti-join: {:?} → {:?}", expr, inline.operators
         );
         prop_assert_eq!(&naive, &inline.relation, "anti-join ≠ naive: {:?}", expr);
-        let engine = Engine::new(EngineConfig { threads, ..EngineConfig::default() });
+        let engine = Engine::new(EngineConfig { threads });
         let parallel = plan
             .execute_with_stats_on(&state, &engine, ExecOpts { morsel_rows })
             .relation;
@@ -314,7 +314,7 @@ proptest! {
         threads in 1usize..4,
     ) {
         let vars: Vec<String> = q.free_vars().into_iter().collect();
-        let engine = Engine::new(EngineConfig { threads, ..EngineConfig::default() });
+        let engine = Engine::new(EngineConfig { threads });
         let reference = eval_query(&state, &NoOps, &q, &vars);
         let slotted = eval_query_with(&state, &NoOps, &q, &vars, &engine);
         match (reference, slotted) {
@@ -351,10 +351,7 @@ fn thread_sweep_is_byte_identical_on_a_join_chain() {
     let plan = PhysicalPlan::compile(&optimize(&expr, &state).expr);
     let baseline = plan.execute(&state);
     for threads in [1, 2, 4, 8] {
-        let engine = Engine::new(EngineConfig {
-            threads,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new(EngineConfig { threads });
         for morsel_rows in [32, 256, 4096] {
             let report = plan.execute_with_stats_on(&state, &engine, ExecOpts { morsel_rows });
             assert_eq!(

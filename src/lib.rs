@@ -12,10 +12,11 @@
 //! * [`relational`] — schemas, states, active-domain semantics, algebra;
 //! * [`safety`] — the paper's contribution: finitization, effective-syntax
 //!   enumerators, relative-safety deciders, and the negative reductions;
-//! * [`engine`] — the parallel, memoizing decision engine threaded through
-//!   the quantifier eliminations and the Theorem 3.1 dovetail;
+//! * [`engine`] — the shared memo caches and the deterministic parallel
+//!   map behind the query layer's caches and the executors' fan-out (the
+//!   decision procedures themselves are sequential);
 //! * [`query`] — the unified compile → plan → execute pipeline with
-//!   explain output and engine-backed plan caching.
+//!   explain output and engine-backed plan and verdict caching.
 //!
 //! See `README.md` for a guided tour and `EXPERIMENTS.md` for the mapping
 //! from the paper's theorems to runnable experiments.
