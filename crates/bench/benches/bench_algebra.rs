@@ -15,15 +15,10 @@
 //!   rewriter sinks the select to the base scan, collapsing every
 //!   intermediate cardinality. Checked on operator row counts
 //!   (deterministic), timed for context.
-//! * **slot-compiled vs string-env evaluation** — the active-domain
-//!   evaluator with pre-resolved frame slots (sequential and engine-
-//!   parallel) against the string-keyed environment evaluator.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use fq_bench::report::{ExperimentReport, ExperimentResult};
 use fq_engine::{Engine, EngineConfig};
-use fq_logic::parse_formula;
-use fq_relational::active_eval::{eval_query, eval_query_with, NoOps};
 use fq_relational::algebra::{AlgebraExpr, Condition};
 use fq_relational::optimize::optimize;
 use fq_relational::physical::PhysicalPlan;
@@ -115,13 +110,14 @@ fn emit_report() {
     let mut detail = Vec::new();
     for n in [800u64, 1600, 3200] {
         let state = chain_state(n);
-        let rows = expr.eval(&state).tuples.len();
-        assert_eq!(plan.execute(&state).tuples.len(), rows, "executors differ");
+        let rows = expr.eval(&state).expect("joins evaluate").tuples.len();
+        let hashed = plan.execute(&state).expect("joins evaluate");
+        assert_eq!(hashed.tuples.len(), rows, "executors differ");
         let naive = median(samples, || {
-            expr.eval(&state);
+            expr.eval(&state).expect("joins evaluate");
         });
         let hash = median(samples, || {
-            plan.execute(&state);
+            plan.execute(&state).expect("joins evaluate");
         });
         let speedup = naive as f64 / hash.max(1) as f64;
         speedups.push(speedup);
@@ -161,19 +157,22 @@ fn emit_report() {
         let n = 6000;
         let state = chain_state(n);
         let plan = PhysicalPlan::compile(&chain_join());
-        let baseline = plan.execute(&state);
+        let baseline = plan.execute(&state).expect("joins evaluate");
         let host_cores = fq_engine::available_threads();
         let opts = ExecOpts { morsel_rows: 1024 };
         let mut medians = Vec::new();
         for threads in [1usize, 2, 4, 8] {
             let engine = Engine::new(EngineConfig { threads });
-            let out = plan.execute_with_stats_on(&state, &engine, opts);
+            let out = plan
+                .execute_with_stats_on(&state, &engine, opts)
+                .expect("joins evaluate");
             assert_eq!(
                 out.relation, baseline,
                 "parallel drift at {threads} threads"
             );
             let t = median(samples, || {
-                plan.execute_with_stats_on(&state, &engine, opts);
+                plan.execute_with_stats_on(&state, &engine, opts)
+                    .expect("joins evaluate");
             });
             medians.push((threads, t));
             report.results.push(ExperimentResult {
@@ -222,8 +221,8 @@ fn emit_report() {
     let raw_plan = PhysicalPlan::compile(&sel);
     let opt = optimize(&sel, &state);
     let opt_plan = PhysicalPlan::compile(&opt.expr);
-    let raw_report = raw_plan.execute_with_stats(&state);
-    let opt_report = opt_plan.execute_with_stats(&state);
+    let raw_report = raw_plan.execute_with_stats(&state).expect("joins evaluate");
+    let opt_report = opt_plan.execute_with_stats(&state).expect("joins evaluate");
     assert_eq!(
         raw_report.relation, opt_report.relation,
         "rewrite changed the answer"
@@ -231,10 +230,10 @@ fn emit_report() {
     let raw_rows: usize = raw_report.operators.iter().map(|o| o.rows).sum();
     let opt_rows: usize = opt_report.operators.iter().map(|o| o.rows).sum();
     let raw_time = median(samples, || {
-        raw_plan.execute(&state);
+        raw_plan.execute(&state).expect("joins evaluate");
     });
     let opt_time = median(samples, || {
-        opt_plan.execute(&state);
+        opt_plan.execute(&state).expect("joins evaluate");
     });
     report.results.push(ExperimentResult {
         id: "ALG_pushdown/rows".to_string(),
@@ -253,7 +252,7 @@ fn emit_report() {
     });
     report.results.push(ExperimentResult {
         id: "ALG_pushdown/time".to_string(),
-        reference: reference.clone(),
+        reference,
         claim: "the pushdown also wins on wall clock".to_string(),
         observed: format!(
             "{raw_time} µs without, {opt_time} µs with ({:.1}x, median of {samples})",
@@ -261,58 +260,6 @@ fn emit_report() {
         ),
         pass: opt_time <= raw_time,
         millis: (raw_time + opt_time) / 1000,
-    });
-
-    // --- Slot-compiled vs string-env active-domain evaluation. --------
-    let state = chain_state(48);
-    let query = parse_formula("exists y. (A(x, y) & B(y, z))").expect("parses");
-    let vars: Vec<String> = ["x", "z"].iter().map(|s| s.to_string()).collect();
-    let expected = eval_query(&state, &NoOps, &query, &vars).expect("evaluates");
-    let seq = Engine::sequential();
-    let par = Engine::new(EngineConfig { threads: 4 });
-    for engine in [&seq, &par] {
-        let got = eval_query_with(&state, &NoOps, &query, &vars, engine).expect("evaluates");
-        assert_eq!(
-            expected,
-            got,
-            "slot evaluator diverged at {} thread(s)",
-            engine.threads()
-        );
-    }
-    let string_env = median(samples, || {
-        eval_query(&state, &NoOps, &query, &vars).unwrap();
-    });
-    let slot_seq = median(samples, || {
-        eval_query_with(&state, &NoOps, &query, &vars, &seq).unwrap();
-    });
-    let slot_par = median(samples, || {
-        eval_query_with(&state, &NoOps, &query, &vars, &par).unwrap();
-    });
-    report.results.push(ExperimentResult {
-        id: "ALG_slots/sequential".to_string(),
-        reference: reference.clone(),
-        claim: "slot-compiled frames beat the string-keyed environment \
-                on ∃y. A(x,y) ∧ B(y,z) over a 49-element active domain"
-            .to_string(),
-        observed: format!(
-            "string-env {string_env} µs, slots {slot_seq} µs ({:.1}x, median of {samples})",
-            string_env as f64 / slot_seq.max(1) as f64
-        ),
-        pass: slot_seq <= string_env,
-        millis: (string_env + slot_seq) / 1000,
-    });
-    report.results.push(ExperimentResult {
-        id: "ALG_slots/parallel".to_string(),
-        reference,
-        claim: "fanning the outermost free variable across 4 engine \
-                threads keeps the same answer (order included)"
-            .to_string(),
-        observed: format!(
-            "1 thread {slot_seq} µs, 4 threads {slot_par} µs ({:.1}x, median of {samples})",
-            slot_seq as f64 / slot_par.max(1) as f64
-        ),
-        pass: true,
-        millis: (slot_seq + slot_par) / 1000,
     });
 
     let json = report.to_json();

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fq_bench::workloads;
 use fq_core::answer_query;
 use fq_domains::NatOrder;
-use fq_relational::active_eval::{eval_query, NoOps};
+use fq_relational::active_eval::{eval_query, NoOps, Ops};
 
 fn bench_active_domain_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("E01_active_domain_eval");
@@ -50,9 +50,9 @@ fn bench_safe_range_compile(c: &mut Criterion) {
     let queries = workloads::genealogy_queries();
     let state = workloads::genealogy_state(60, 40, 42);
     let schema = state.schema().clone();
-    let expr = fq_relational::algebra::compile(&schema, &queries[1].1).unwrap();
+    let expr = fq_relational::algebra::compile(&schema, &queries[1].1, Ops::Equality).unwrap();
     group.bench_function("compile_G", |b| {
-        b.iter(|| fq_relational::algebra::compile(&schema, &queries[1].1).unwrap())
+        b.iter(|| fq_relational::algebra::compile(&schema, &queries[1].1, Ops::Equality).unwrap())
     });
     group.bench_function("eval_algebra_G", |b| b.iter(|| expr.eval(&state)));
     group.finish();

@@ -29,8 +29,9 @@ fn workload_state() -> State {
 }
 
 /// One query per strategy, so the cache benefit covers every plan shape:
-/// algebra, active-domain, ranf (`!F(x, y)` is generic), enumerate-and-
-/// ask (the `x < y` conjunct makes it non-generic), and qe-decide.
+/// algebra (with and without a domain selection), ranf (`!F(x, y)` is
+/// generic), enumerate-and-ask (the `x < y` conjunct makes it
+/// non-generic), and qe-decide.
 fn workload_queries() -> Vec<(&'static str, DomainId)> {
     vec![
         ("exists y. F(x, y) & F(y, z)", DomainId::Eq),

@@ -288,7 +288,7 @@ fn emit_report() {
     ] {
         let plan = PhysicalPlan::compile(expr);
         let start = Instant::now();
-        let out = plan.execute(&large);
+        let out = plan.execute(&large).expect("joins evaluate");
         let t = start.elapsed();
         let probed = large.relation_size("Run");
         let krows_s = probed as f64 / t.as_secs_f64() / 1_000.0;
@@ -365,7 +365,7 @@ fn emit_report() {
             // answer out of the physical executor.
             let start = Instant::now();
             let served = State::read_snapshot(&bytes).expect("snapshot reloads");
-            let out = first_query.execute(&served);
+            let out = first_query.execute(&served).expect("joins evaluate");
             let ttfq = start.elapsed();
             report.results.push(ExperimentResult {
                 id: format!("STO_snap/ttfq_{n}"),

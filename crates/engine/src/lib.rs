@@ -8,9 +8,9 @@
 //!    (`core.answer.decide`).
 //! 2. **Multi-core fan-out** ([`Engine::parallel_map`]): a
 //!    `std::thread::scope`-based parallel map over independent
-//!    subproblems, used by the physical executor's morsels and the slot
-//!    evaluator. Results are merged in input order — parallel and
-//!    sequential runs produce *identical* output, never first-wins.
+//!    subproblems, used by the physical executor's morsels. Results are
+//!    merged in input order — parallel and sequential runs produce
+//!    *identical* output, never first-wins.
 //!
 //! The decision procedures themselves (Cooper, the Theorem A.3
 //! elimination) are plain sequential functions and take no engine.

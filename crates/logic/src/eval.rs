@@ -4,10 +4,15 @@
 //! This gives exactly the *active-domain semantics* used throughout the
 //! paper's Section 2 (and, with a large enough slice, bounded model checking
 //! for testing the quantifier-elimination procedures of `fq-domains`).
+//! It is the one calculus evaluator: variables live in a string-keyed
+//! [`Assignment`], which keeps it simple enough to serve as the reference
+//! the relational algebra is tested against, the equality domain's
+//! decider and the relative-safety test's evaluator. No query plan runs
+//! it; safe-range queries compile to algebra.
 
 use crate::error::LogicError;
 use crate::formula::Formula;
-use crate::term::{Sym, Term};
+use crate::term::Term;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
@@ -211,337 +216,6 @@ fn enumerate<I: Interpretation>(
     }
 }
 
-// ---------------------------------------------------------------------
-// Slot-compiled evaluation.
-// ---------------------------------------------------------------------
-//
-// The string-keyed [`Assignment`] map costs a `String` clone and a
-// `BTreeMap` probe per variable read/write in the innermost loops of
-// [`eval`] and [`solutions`]. [`compile_slots`] removes both: one pass
-// over the formula resolves every variable occurrence to an index into a
-// flat frame (free variables first, then one fresh slot per quantifier
-// node, de Bruijn-style), so evaluation indexes a `Vec<Option<Elem>>`
-// instead of hashing names. Results are identical to the string-keyed
-// evaluator — including the "unbound variable" errors, which are
-// reported lazily from the slot's recorded name.
-
-/// A term with variables resolved to frame slots.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum SlotTerm {
-    Slot(usize),
-    Nat(u64),
-    Str(String),
-    App(Sym, Vec<SlotTerm>),
-}
-
-/// A formula with every variable occurrence resolved to a frame slot.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum SlotNode {
-    True,
-    False,
-    Pred(Sym, Vec<SlotTerm>),
-    Eq(SlotTerm, SlotTerm),
-    Not(Box<SlotNode>),
-    And(Vec<SlotNode>),
-    Or(Vec<SlotNode>),
-    Implies(Box<SlotNode>, Box<SlotNode>),
-    Iff(Box<SlotNode>, Box<SlotNode>),
-    Exists(usize, Box<SlotNode>),
-    Forall(usize, Box<SlotNode>),
-}
-
-/// A formula compiled for frame-indexed evaluation: the answer variables
-/// occupy slots `0..free_slots()` in the order given to [`compile_slots`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SlotFormula {
-    root: SlotNode,
-    /// Slot index → variable name, for diagnostics.
-    names: Vec<String>,
-    /// Number of leading slots holding the answer variables.
-    free: usize,
-}
-
-impl SlotFormula {
-    /// Total frame size (answer variables + quantifier slots + slots for
-    /// variables that turned out unbound).
-    pub fn frame_size(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Number of leading answer-variable slots.
-    pub fn free_slots(&self) -> usize {
-        self.free
-    }
-}
-
-struct SlotCompiler {
-    /// Innermost-last scope stack: (name, slot).
-    scope: Vec<(String, usize)>,
-    /// Slot index → name.
-    names: Vec<String>,
-    /// Variables bound neither by `free_vars` nor a quantifier: they get
-    /// a slot that is never written, so reading one errors exactly like
-    /// the string-keyed evaluator's missing-assignment lookup.
-    unbound: BTreeMap<String, usize>,
-}
-
-impl SlotCompiler {
-    fn resolve(&mut self, v: &str) -> usize {
-        if let Some((_, slot)) = self.scope.iter().rev().find(|(name, _)| name == v) {
-            return *slot;
-        }
-        if let Some(slot) = self.unbound.get(v) {
-            return *slot;
-        }
-        let slot = self.names.len();
-        self.names.push(v.to_string());
-        self.unbound.insert(v.to_string(), slot);
-        slot
-    }
-
-    fn term(&mut self, t: &Term) -> SlotTerm {
-        match t {
-            Term::Var(v) => SlotTerm::Slot(self.resolve(v.as_str())),
-            Term::Nat(n) => SlotTerm::Nat(*n),
-            Term::Str(s) => SlotTerm::Str(s.clone()),
-            Term::App(name, args) => {
-                SlotTerm::App(name.clone(), args.iter().map(|a| self.term(a)).collect())
-            }
-        }
-    }
-
-    fn node(&mut self, f: &Formula) -> SlotNode {
-        match f {
-            Formula::True => SlotNode::True,
-            Formula::False => SlotNode::False,
-            Formula::Pred(name, args) => {
-                SlotNode::Pred(name.clone(), args.iter().map(|a| self.term(a)).collect())
-            }
-            Formula::Eq(a, b) => SlotNode::Eq(self.term(a), self.term(b)),
-            Formula::Not(g) => SlotNode::Not(Box::new(self.node(g))),
-            Formula::And(gs) => SlotNode::And(gs.iter().map(|g| self.node(g)).collect()),
-            Formula::Or(gs) => SlotNode::Or(gs.iter().map(|g| self.node(g)).collect()),
-            Formula::Implies(a, b) => {
-                SlotNode::Implies(Box::new(self.node(a)), Box::new(self.node(b)))
-            }
-            Formula::Iff(a, b) => SlotNode::Iff(Box::new(self.node(a)), Box::new(self.node(b))),
-            Formula::Exists(v, body) | Formula::Forall(v, body) => {
-                // A fresh slot per quantifier node: shadowing resolves to
-                // the innermost binder, and no save/restore is needed at
-                // evaluation time because slots are never shared.
-                let slot = self.names.len();
-                self.names.push(v.clone());
-                self.scope.push((v.clone(), slot));
-                let body = self.node(body);
-                self.scope.pop();
-                if matches!(f, Formula::Exists(..)) {
-                    SlotNode::Exists(slot, Box::new(body))
-                } else {
-                    SlotNode::Forall(slot, Box::new(body))
-                }
-            }
-        }
-    }
-}
-
-/// Compile a formula for frame-indexed evaluation. `free_vars` (the
-/// answer variables, in output-column order) are assigned slots `0..n`.
-pub fn compile_slots(formula: &Formula, free_vars: &[String]) -> SlotFormula {
-    let mut c = SlotCompiler {
-        scope: free_vars
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.clone(), i))
-            .collect(),
-        names: free_vars.to_vec(),
-        unbound: BTreeMap::new(),
-    };
-    let root = c.node(formula);
-    SlotFormula {
-        root,
-        names: c.names,
-        free: free_vars.len(),
-    }
-}
-
-fn eval_slot_term<I: Interpretation>(
-    interp: &I,
-    frame: &[Option<I::Elem>],
-    names: &[String],
-    term: &SlotTerm,
-) -> Result<I::Elem, LogicError> {
-    match term {
-        SlotTerm::Slot(i) => frame[*i]
-            .clone()
-            .ok_or_else(|| LogicError::eval(format!("unbound variable `{}`", names[*i]))),
-        SlotTerm::Nat(n) => interp.nat(*n),
-        SlotTerm::Str(s) => interp.str_lit(s),
-        SlotTerm::App(name, args) => {
-            if args.is_empty() {
-                interp.named_const(name.as_str())
-            } else {
-                let vals: Result<Vec<_>, _> = args
-                    .iter()
-                    .map(|a| eval_slot_term(interp, frame, names, a))
-                    .collect();
-                interp.func(name.as_str(), &vals?)
-            }
-        }
-    }
-}
-
-fn eval_slot_node<I: Interpretation>(
-    interp: &I,
-    universe: &[I::Elem],
-    frame: &mut [Option<I::Elem>],
-    names: &[String],
-    node: &SlotNode,
-) -> Result<bool, LogicError> {
-    match node {
-        SlotNode::True => Ok(true),
-        SlotNode::False => Ok(false),
-        SlotNode::Pred(name, args) => {
-            let vals: Result<Vec<_>, _> = args
-                .iter()
-                .map(|a| eval_slot_term(interp, frame, names, a))
-                .collect();
-            interp.pred(name.as_str(), &vals?)
-        }
-        SlotNode::Eq(a, b) => Ok(
-            eval_slot_term(interp, frame, names, a)? == eval_slot_term(interp, frame, names, b)?
-        ),
-        SlotNode::Not(f) => Ok(!eval_slot_node(interp, universe, frame, names, f)?),
-        SlotNode::And(fs) => {
-            for f in fs {
-                if !eval_slot_node(interp, universe, frame, names, f)? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-        SlotNode::Or(fs) => {
-            for f in fs {
-                if eval_slot_node(interp, universe, frame, names, f)? {
-                    return Ok(true);
-                }
-            }
-            Ok(false)
-        }
-        SlotNode::Implies(a, b) => Ok(!eval_slot_node(interp, universe, frame, names, a)?
-            || eval_slot_node(interp, universe, frame, names, b)?),
-        SlotNode::Iff(a, b) => Ok(eval_slot_node(interp, universe, frame, names, a)?
-            == eval_slot_node(interp, universe, frame, names, b)?),
-        SlotNode::Exists(slot, body) => {
-            for e in universe {
-                frame[*slot] = Some(e.clone());
-                if eval_slot_node(interp, universe, frame, names, body)? {
-                    return Ok(true);
-                }
-            }
-            Ok(false)
-        }
-        SlotNode::Forall(slot, body) => {
-            for e in universe {
-                frame[*slot] = Some(e.clone());
-                if !eval_slot_node(interp, universe, frame, names, body)? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-    }
-}
-
-/// Evaluate a compiled formula with the answer slots pre-filled by
-/// `assignment` (one element per free slot).
-pub fn eval_slots<I: Interpretation>(
-    interp: &I,
-    universe: &[I::Elem],
-    assignment: &[I::Elem],
-    compiled: &SlotFormula,
-) -> Result<bool, LogicError> {
-    let mut frame: Vec<Option<I::Elem>> = vec![None; compiled.frame_size()];
-    for (slot, e) in assignment.iter().enumerate() {
-        frame[slot] = Some(e.clone());
-    }
-    eval_slot_node(
-        interp,
-        universe,
-        &mut frame,
-        &compiled.names,
-        &compiled.root,
-    )
-}
-
-/// Slot-compiled analogue of [`solutions`]: enumerate all assignments of
-/// `universe` elements to the answer slots that satisfy the formula, in
-/// the same row order as the string-keyed enumeration.
-pub fn solutions_slots<I: Interpretation>(
-    interp: &I,
-    universe: &[I::Elem],
-    compiled: &SlotFormula,
-) -> Result<Vec<Vec<I::Elem>>, LogicError> {
-    solutions_slots_fixed(interp, universe, compiled, &[])
-}
-
-/// [`solutions_slots`] with the first `fixed.len()` answer slots pinned
-/// to the given elements. Returned rows include the pinned prefix, so
-/// concatenating the results of `fixed = [e]` over `e ∈ universe` (in
-/// universe order) reproduces `solutions_slots` exactly — the contract
-/// the parallel fan-out in `fq-relational` relies on.
-pub fn solutions_slots_fixed<I: Interpretation>(
-    interp: &I,
-    universe: &[I::Elem],
-    compiled: &SlotFormula,
-    fixed: &[I::Elem],
-) -> Result<Vec<Vec<I::Elem>>, LogicError> {
-    assert!(
-        fixed.len() <= compiled.free,
-        "more pinned elements than answer slots"
-    );
-    let mut frame: Vec<Option<I::Elem>> = vec![None; compiled.frame_size()];
-    for (slot, e) in fixed.iter().enumerate() {
-        frame[slot] = Some(e.clone());
-    }
-    let mut prefix: Vec<I::Elem> = fixed.to_vec();
-    let mut out = Vec::new();
-    enumerate_slots(
-        interp,
-        universe,
-        compiled,
-        fixed.len(),
-        &mut frame,
-        &mut prefix,
-        &mut out,
-    )?;
-    Ok(out)
-}
-
-fn enumerate_slots<I: Interpretation>(
-    interp: &I,
-    universe: &[I::Elem],
-    compiled: &SlotFormula,
-    slot: usize,
-    frame: &mut Vec<Option<I::Elem>>,
-    prefix: &mut Vec<I::Elem>,
-    out: &mut Vec<Vec<I::Elem>>,
-) -> Result<(), LogicError> {
-    if slot == compiled.free {
-        if eval_slot_node(interp, universe, frame, &compiled.names, &compiled.root)? {
-            out.push(prefix.clone());
-        }
-        return Ok(());
-    }
-    for e in universe {
-        frame[slot] = Some(e.clone());
-        prefix.push(e.clone());
-        enumerate_slots(interp, universe, compiled, slot + 1, frame, prefix, out)?;
-        prefix.pop();
-    }
-    frame[slot] = None;
-    Ok(())
-}
-
 /// A trivial interpretation over `u64` with the standard arithmetic symbols
 /// (`+`, `-` saturating, `*`, `succ`) and comparisons. Handy in tests and as
 /// the evaluation backend for the numeric domains.
@@ -662,73 +336,5 @@ mod tests {
     fn iff_and_implies() {
         let f = parse_formula("(1 < 2 -> 2 < 3) <-> true").unwrap();
         assert!(eval_sentence(&NatInterpretation, &universe(1), &f).unwrap());
-    }
-
-    #[test]
-    fn slot_solutions_match_string_env() {
-        let vars = ["x".to_string(), "y".to_string()];
-        for src in [
-            "x + y = 3",
-            "x < y",
-            "exists z. x < z & z < y",
-            "forall z. z <= x | y < z",
-            "x = y | (exists x. x = 2 & x < y)",
-        ] {
-            let f = parse_formula(src).unwrap();
-            let naive = solutions(&NatInterpretation, &universe(4), &vars, &f).unwrap();
-            let compiled = compile_slots(&f, &vars);
-            let fast = solutions_slots(&NatInterpretation, &universe(4), &compiled).unwrap();
-            assert_eq!(naive, fast, "{src}");
-        }
-    }
-
-    #[test]
-    fn slot_shadowing_resolves_to_innermost_binder() {
-        // The inner `exists x` must shadow the answer variable x.
-        let f = parse_formula("exists x. x = 2 & x < y").unwrap();
-        let compiled = compile_slots(&f, &["x".to_string(), "y".to_string()]);
-        let sols = solutions_slots(&NatInterpretation, &universe(4), &compiled).unwrap();
-        // Every x qualifies whenever y > 2: rows (x, 3) for all x.
-        let expect: Vec<Vec<u64>> = (0..4).map(|x| vec![x, 3]).collect();
-        assert_eq!(sols, expect);
-    }
-
-    #[test]
-    fn slot_unbound_variable_errors_lazily_like_the_string_env() {
-        // `z` is unbound; the error fires only if evaluation reaches it —
-        // identical to the Assignment-based evaluator's short-circuiting.
-        let f = parse_formula("x < 1 & z = 0").unwrap();
-        let compiled = compile_slots(&f, &["x".to_string()]);
-        assert!(eval_slots(&NatInterpretation, &universe(3), &[0], &compiled).is_err());
-        // x = 2 fails the first conjunct, so z is never read.
-        assert!(!eval_slots(&NatInterpretation, &universe(3), &[2], &compiled).unwrap());
-        let mut env = Assignment::new();
-        env.insert("x".to_string(), 2u64);
-        assert!(!eval(&NatInterpretation, &universe(3), &mut env, &f).unwrap());
-    }
-
-    #[test]
-    fn slot_fixed_prefix_partitions_the_enumeration() {
-        let f = parse_formula("x + y = 3").unwrap();
-        let vars = ["x".to_string(), "y".to_string()];
-        let compiled = compile_slots(&f, &vars);
-        let whole = solutions_slots(&NatInterpretation, &universe(4), &compiled).unwrap();
-        let mut stitched = Vec::new();
-        for e in universe(4) {
-            stitched.extend(
-                solutions_slots_fixed(&NatInterpretation, &universe(4), &compiled, &[e]).unwrap(),
-            );
-        }
-        assert_eq!(whole, stitched);
-    }
-
-    #[test]
-    fn slot_sentence_evaluation() {
-        let f = parse_formula("forall x. exists y. x < y").unwrap();
-        let compiled = compile_slots(&f, &[]);
-        assert!(!eval_slots(&NatInterpretation, &universe(5), &[], &compiled).unwrap());
-        let g = parse_formula("exists x. forall y. y <= x").unwrap();
-        let compiled = compile_slots(&g, &[]);
-        assert!(eval_slots(&NatInterpretation, &universe(5), &[], &compiled).unwrap());
     }
 }

@@ -39,10 +39,7 @@ pub mod term;
 pub mod transform;
 
 pub use error::LogicError;
-pub use eval::{
-    compile_slots, eval, eval_sentence, eval_slots, solutions_slots, solutions_slots_fixed,
-    Assignment, Interpretation, SlotFormula,
-};
+pub use eval::{eval, eval_sentence, Assignment, Interpretation};
 pub use formula::Formula;
 pub use parser::{parse_formula, parse_term};
 pub use signature::{Signature, SymbolKind};

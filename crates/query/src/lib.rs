@@ -2,15 +2,15 @@
 //!
 //! Every answering path in the workspace goes through this crate. The
 //! paper's whole subject is *which strategy may answer a query* — the
-//! safe-range/algebra route for domain-independent queries, active-domain
-//! evaluation, the Section 1.1 enumerate-and-ask loop for finite queries,
-//! relative-safety prechecks (Theorems 2.2/2.5/3.3), and pure-sentence
-//! decision — and this crate makes that choice explicit, auditable, and
-//! cacheable:
+//! safe-range/algebra route for domain-independent queries (domain atoms
+//! such as `x < y` included), the RANF split for generic ones, the
+//! Section 1.1 enumerate-and-ask loop for finite queries, relative-safety
+//! prechecks (Theorems 2.2/2.5/3.3), and pure-sentence decision — and
+//! this crate makes that choice explicit, auditable, and cacheable:
 //!
 //! * [`compile`] — parse, bind scheme constants, arity-check against the
 //!   [`Schema`](fq_relational::Schema), and normalize (NNF + folding);
-//! * [`plan`] — a [`QueryPlan`] choosing among algebra, active-domain,
+//! * [`plan`] — a [`QueryPlan`] choosing among algebra, RANF,
 //!   enumerate-and-ask (with an explicit candidate budget and a
 //!   relative-safety precheck), or QE decision — each recording *why*;
 //! * [`exec`] — an [`Executor`] that memoizes plans in the engine's
@@ -18,8 +18,9 @@
 //!   `query.verdict`, and returns a uniform [`QueryOutcome`] with
 //!   answers, a completeness certificate, and cache statistics;
 //! * [`registry`] — the [`DomainRegistry`]: one table for the seven
-//!   decidable domains (`eq|nat|int|succ|presburger|words|traces`),
-//!   replacing the per-command string dispatch the CLI used to carry.
+//!   decidable domains (`eq|nat|int|succ|presburger|words|traces`) and
+//!   the operations their atoms evaluate with, replacing the
+//!   per-command string dispatch the CLI used to carry.
 //!
 //! The executor is agnostic to how its state was built: per-row
 //! (`with_tuple`, as below, fine for fixtures) or staged through

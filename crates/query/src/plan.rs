@@ -3,20 +3,21 @@
 //!
 //! The choice mirrors the paper's taxonomy. A safe-range query is
 //! domain-independent and compiles to relational algebra (Codd's
-//! theorem); a safe-range query whose atoms the algebra cannot express
-//! falls back to active-domain evaluation (sound for exactly the
-//! domain-independent queries); everything else goes through the
-//! Section 1.1 enumerate-and-ask loop, preceded by a relative-safety
-//! check (Theorems 2.5/2.6/3.3) that predicts whether the loop can
-//! terminate; and a sentence needs no enumeration at all — translate
-//! the state into it (Section 1.1) and hand it to the domain's decision
-//! procedure.
+//! theorem), its domain atoms (`x < y`, `y = x'`) becoming selections
+//! evaluated with the domain's operations; a generic query that is not
+//! safe-range splits into a RANF generator/restrictor pair; everything
+//! else goes through the Section 1.1 enumerate-and-ask loop, preceded by
+//! a relative-safety check (Theorems 2.5/2.6/3.3) that predicts whether
+//! the loop can terminate; and a sentence needs no enumeration at all —
+//! translate the state into it (Section 1.1) and hand it to the domain's
+//! decision procedure.
 
 use crate::compile::CompiledQuery;
 use crate::error::QueryError;
 use crate::registry::{DomainId, DomainRegistry};
 use fq_json::{ToJson, Value as Json};
-use fq_logic::Formula;
+use fq_logic::{Formula, LogicError};
+use fq_relational::active_eval::fold_ground;
 use fq_relational::algebra::{compile as compile_algebra, AlgebraExpr};
 use fq_relational::optimize::optimize;
 use fq_relational::{ranf, State, Value};
@@ -114,9 +115,6 @@ pub enum QueryPlan {
         rewrites: Vec<String>,
         justification: String,
     },
-    /// Safe-range but outside the algebra fragment ⟹ active-domain
-    /// evaluation (equivalent for domain-independent queries).
-    ActiveDomain { justification: String },
     /// Not safe-range but *generic* ⟹ RANF split: a safe-range
     /// generator (the active-domain core of the answer — the whole
     /// answer whenever it is finite) and a safe-range restrictor whose
@@ -146,7 +144,6 @@ impl QueryPlan {
     pub fn strategy(&self) -> &'static str {
         match self {
             QueryPlan::Algebra { .. } => "algebra",
-            QueryPlan::ActiveDomain { .. } => "active-domain",
             QueryPlan::Ranf { .. } => "ranf",
             QueryPlan::EnumerateAndAsk { .. } => "enumerate-and-ask",
             QueryPlan::QeDecide { .. } => "qe-decide",
@@ -157,7 +154,6 @@ impl QueryPlan {
     pub fn justification(&self) -> &str {
         match self {
             QueryPlan::Algebra { justification, .. }
-            | QueryPlan::ActiveDomain { justification }
             | QueryPlan::Ranf { justification, .. }
             | QueryPlan::EnumerateAndAsk { justification, .. }
             | QueryPlan::QeDecide { justification } => justification,
@@ -342,10 +338,13 @@ pub fn plan(
 /// The choice is deterministic: the same (query, domain, state, options)
 /// quadruple always yields the same plan, which is what makes the plan
 /// cache semantically transparent. The strategy lattice, most exact
-/// first: sentences decide by QE; safe-range queries compile to algebra
-/// (or fall to active-domain evaluation outside the algebra fragment);
+/// first: sentences decide by QE; safe-range queries compile to algebra;
 /// non-safe-range *generic* queries RANF-split into an exact
 /// generator/restrictor pair; everything else enumerates under a budget.
+///
+/// A ground term that does not evaluate under the domain's operations
+/// (`x = 18446744073709551615 + 1`) fails planning with
+/// [`QueryError::Eval`].
 pub fn plan_with(
     compiled: &CompiledQuery,
     domain: DomainId,
@@ -372,28 +371,23 @@ pub fn plan_with(
                 };
                 match forced {
                     Some(p) => p,
-                    None => match compile_algebra(&compiled.schema, &compiled.query) {
-                        Ok(expr) => {
-                            let opt = optimize(&expr, state);
-                            QueryPlan::Algebra {
-                                expr,
-                                optimized: opt.expr,
-                                rewrites: opt.rewrites,
-                                justification:
-                                    "the query is safe-range, hence domain-independent; \
-                                     compiled to relational algebra (Codd's theorem) and \
-                                     evaluated over the stored relations only"
-                                        .to_string(),
-                            }
+                    None => {
+                        let ops = registry.ops(domain);
+                        let query =
+                            fold_ground(state, &ops, &compiled.query).map_err(QueryError::Eval)?;
+                        let expr = compile_algebra(&compiled.schema, &query, ops)
+                            .map_err(|e| QueryError::Eval(LogicError::eval(e.to_string())))?;
+                        let opt = optimize(&expr, state);
+                        QueryPlan::Algebra {
+                            expr,
+                            optimized: opt.expr,
+                            rewrites: opt.rewrites,
+                            justification: "the query is safe-range, hence domain-independent; \
+                                            compiled to relational algebra (Codd's theorem) and \
+                                            evaluated over the stored relations only"
+                                .to_string(),
                         }
-                        Err(e) => QueryPlan::ActiveDomain {
-                            justification: format!(
-                                "the query is safe-range, hence domain-independent, but outside \
-                                 the algebra fragment ({e}); active-domain evaluation is \
-                                 equivalent for domain-independent queries"
-                            ),
-                        },
-                    },
+                    }
                 }
             }
             Err(not_sr) => {
@@ -463,7 +457,7 @@ fn try_ranf(
     }
     let tr = ranf::translate(state, &compiled.query, &compiled.free_vars).ok()?;
     let half = |formula: Formula| -> Option<RanfHalf> {
-        let expr = compile_algebra(tr.state.schema(), &formula).ok()?;
+        let expr = compile_algebra(tr.state.schema(), &formula, DomainRegistry.ops(domain)).ok()?;
         let opt = optimize(&expr, &tr.state);
         Some(RanfHalf {
             formula,
@@ -548,13 +542,25 @@ mod tests {
     }
 
     #[test]
-    fn safe_range_with_domain_predicate_plans_to_active_domain() {
+    fn safe_range_with_domain_predicate_plans_to_algebra() {
         let p = plan_for("exists y. F(x, y) & x < y", DomainId::Nat);
-        assert_eq!(p.plan.strategy(), "active-domain");
-        assert!(p
-            .plan
-            .justification()
-            .contains("outside the algebra fragment"));
+        assert_eq!(p.plan.strategy(), "algebra");
+        match &p.plan {
+            QueryPlan::Algebra { expr, .. } => {
+                assert!(format!("{expr:?}").contains("Domain"), "{expr:?}")
+            }
+            other => panic!("unexpected plan {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_ground_term_that_overflows_fails_planning() {
+        let state = fathers();
+        let compiled = compile(state.schema(), "F(x, y) & x = 18446744073709551615 + 1").unwrap();
+        match plan(&compiled, DomainId::Nat, &state, 100) {
+            Err(QueryError::Eval(e)) => assert!(e.to_string().contains("overflow"), "{e}"),
+            other => panic!("unexpected outcome {other:?}"),
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The domain registry — one table for every decidable domain the
 //! workspace ships, replacing the stringly-typed `match` arms that used
-//! to be copy-pasted into each CLI command and example.
+//! to be copy-pasted into each CLI command and example. Besides the
+//! decision procedures it names each domain's [`Ops`], the operations
+//! an algebra plan's domain selections and ground terms evaluate with.
 
 use crate::error::QueryError;
 use fq_core::answer::{answer_query_with, AnswerOutcome};
@@ -11,7 +13,7 @@ use fq_domains::{
 };
 use fq_engine::Engine;
 use fq_logic::Formula;
-use fq_relational::active_eval::{eval_query_with, NatOps, NoOps, TraceOps};
+use fq_relational::active_eval::Ops;
 use fq_relational::{State, Value};
 
 /// The decidable domains the pipeline can plan against.
@@ -181,8 +183,9 @@ fn collect_funcs(t: &fq_logic::Term, out: &mut Vec<String>) {
 }
 
 /// Uniform dispatch over the registry: deciding sentences, relative
-/// safety, enumerate-and-ask answering, and active-domain evaluation,
-/// each returning domain-independent [`Value`]s.
+/// safety, enumerate-and-ask answering (each returning
+/// domain-independent [`Value`]s), and the operations algebra domain
+/// selections evaluate with.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DomainRegistry;
 
@@ -269,24 +272,14 @@ impl DomainRegistry {
         }
     }
 
-    /// Active-domain evaluation with the domain's operations interpreted,
-    /// slot-compiled and fanned out across the engine's workers.
-    pub fn eval_active(
-        &self,
-        id: DomainId,
-        state: &State,
-        query: &Formula,
-        vars: &[String],
-        engine: &Engine,
-    ) -> Result<Vec<Vec<Value>>, fq_logic::LogicError> {
+    /// The operations that evaluate the domain's functions and
+    /// predicates: the domain selections and ground terms of an algebra
+    /// plan use them.
+    pub fn ops(&self, id: DomainId) -> Ops {
         match id {
-            DomainId::Eq => eval_query_with(state, &NoOps, query, vars, engine),
-            DomainId::Nat | DomainId::Int | DomainId::Succ | DomainId::Presburger => {
-                eval_query_with(state, &NatOps, query, vars, engine)
-            }
-            DomainId::Words | DomainId::Traces => {
-                eval_query_with(state, &TraceOps, query, vars, engine)
-            }
+            DomainId::Eq => Ops::Equality,
+            DomainId::Nat | DomainId::Int | DomainId::Succ | DomainId::Presburger => Ops::Nat,
+            DomainId::Words | DomainId::Traces => Ops::Trace,
         }
     }
 }

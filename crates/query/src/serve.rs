@@ -45,7 +45,7 @@ use crate::registry::DomainId;
 use fq_json::{FromJson, JsonError, ToJson, Value as Json};
 use fq_logic::parse_formula;
 use fq_relational::{SharedState, Snapshot, StateError, Value, WalInfo};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 
@@ -431,6 +431,12 @@ impl Server {
 /// serve.
 const ACCEPT_RETRY_PAUSE: std::time::Duration = std::time::Duration::from_millis(50);
 
+/// The longest request line a connection reads (newline excluded). A
+/// longer line gets one error response and is skipped up to its newline,
+/// so a client that never sends one cannot grow the buffer until
+/// allocation fails and aborts the server.
+const MAX_LINE_BYTES: usize = 16 << 20;
+
 fn serve_connection(service: &QueryService, stream: TcpStream) -> io::Result<()> {
     // The protocol is strictly request/response, one line each way;
     // Nagle's algorithm would hold every response hostage to the next
@@ -444,12 +450,19 @@ fn serve_connection(service: &QueryService, stream: TcpStream) -> io::Result<()>
     let mut line = Vec::new();
     loop {
         line.clear();
-        if reader.read_until(b'\n', &mut line)? == 0 {
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut line)? == 0 {
             return Ok(());
         }
         let text = line.strip_suffix(b"\n").unwrap_or(&line);
         let text = text.strip_suffix(b"\r").unwrap_or(text);
         let response = match std::str::from_utf8(text) {
+            _ if text.len() > MAX_LINE_BYTES => {
+                reader.skip_until(b'\n')?;
+                respond(Err(err_text(format!(
+                    "request line exceeds {MAX_LINE_BYTES} bytes"
+                ))))
+            }
             Ok(text) if text.trim().is_empty() => continue,
             Ok(text) => service.handle_line(text),
             Err(e) => respond(Err(err_text(format!(
@@ -685,6 +698,42 @@ mod tests {
             answered.get("rows").and_then(Json::as_array).unwrap().len(),
             2
         );
+    }
+
+    /// A line longer than the cap gets one error response, the rest of
+    /// it is skipped, and the connection goes on to answer a query.
+    #[test]
+    fn over_long_line_is_answered_and_skipped() {
+        let addr = Server::bind(service(), ("127.0.0.1", 0))
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut request = vec![b'x'; MAX_LINE_BYTES + 1];
+        request.push(b'\n');
+        request.extend_from_slice(b"{\"cmd\":\"query\",\"query\":\"F(x, y)\",\"domain\":\"eq\"}\n");
+        let sender = std::thread::spawn(move || writer.write_all(&request));
+        let mut reader = BufReader::new(stream);
+        let mut response = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            fq_json::parse(line.trim_end()).expect("one JSON response line")
+        };
+        let rejected = response();
+        assert_eq!(rejected.get("ok").and_then(Json::as_bool), Some(false));
+        let error = rejected.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("exceeds"), "{error}");
+        let answered = response();
+        assert_eq!(answered.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(
+            answered.get("rows").and_then(Json::as_array).unwrap().len(),
+            2
+        );
+        sender.join().unwrap().unwrap();
     }
 
     /// Request lines nested as deep as the two parsers accept are

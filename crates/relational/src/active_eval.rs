@@ -1,17 +1,21 @@
-//! Active-domain evaluation of queries.
+//! Domain operations, and active-domain evaluation of queries.
 //!
-//! Quantifiers range over the query's active domain (state values plus
-//! query constants). For *domain-independent* queries this computes the
-//! answer; for others it computes the active-domain-relativized answer
-//! used by the effective syntaxes of Section 2.
+//! [`DomainOps`] interprets a domain's functions and predicates over
+//! [`Value`]s; [`Ops`] names the implementation a domain uses, so an
+//! algebra selection can carry it (`crate::algebra::Condition::Domain`).
+//!
+//! [`eval_query`] is the string-environment evaluator: quantifiers range
+//! over the query's active domain (state values, query constants and
+//! the values of the query's ground terms). For *domain-independent*
+//! queries this computes the answer; for others it computes the
+//! active-domain-relativized answer used by the effective syntaxes of
+//! Section 2. The planner never runs it: it is the test suites'
+//! reference for the algebra, and [`solutions_over`] is the
+//! relative-safety test's evaluator.
 
 use crate::state::{State, Tuple, Value};
-use crate::val::{SharedOverlay, Val};
-use fq_engine::Engine;
-use fq_logic::eval::{
-    compile_slots, solutions, solutions_slots, solutions_slots_fixed, Interpretation,
-};
-use fq_logic::{Formula, LogicError};
+use fq_logic::eval::{eval_term, solutions, Assignment, Interpretation};
+use fq_logic::{Formula, LogicError, Term};
 
 /// Interpretation of domain functions and predicates over [`Value`]s.
 /// Database relations are handled separately by the evaluator.
@@ -53,11 +57,17 @@ impl DomainOps for NatOps {
             })
             .collect();
         let nums = nums.ok_or_else(|| LogicError::eval("numeric function on a string"))?;
+        // Exact or an error: a wrapped result would be a wrong answer.
+        let exact = |n: Option<u64>, shown: String| {
+            n.map(Value::Nat).ok_or_else(|| {
+                LogicError::eval(format!("arithmetic overflow: {shown} exceeds {}", u64::MAX))
+            })
+        };
         match (name, nums.as_slice()) {
-            ("succ", [a]) => Ok(Value::Nat(a + 1)),
-            ("+", [a, b]) => Ok(Value::Nat(a + b)),
+            ("succ", [a]) => exact(a.checked_add(1), format!("{a}'")),
+            ("+", [a, b]) => exact(a.checked_add(*b), format!("{a} + {b}")),
             ("-", [a, b]) => Ok(Value::Nat(a.saturating_sub(*b))),
-            ("*", [a, b]) => Ok(Value::Nat(a * b)),
+            ("*", [a, b]) => exact(a.checked_mul(*b), format!("{a} * {b}")),
             _ => Err(LogicError::eval(format!("unknown function `{name}`"))),
         }
     }
@@ -154,6 +164,36 @@ impl DomainOps for TraceOps {
     }
 }
 
+/// Which [`DomainOps`] a domain evaluates its atoms with, as a value a
+/// plan can carry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Ops {
+    /// [`NoOps`]: pure equality.
+    Equality,
+    /// [`NatOps`]: the numeric domains.
+    Nat,
+    /// [`TraceOps`]: the trace and word domains.
+    Trace,
+}
+
+impl DomainOps for Ops {
+    fn func(&self, name: &str, args: &[Value]) -> Result<Value, LogicError> {
+        match self {
+            Ops::Equality => NoOps.func(name, args),
+            Ops::Nat => NatOps.func(name, args),
+            Ops::Trace => TraceOps.func(name, args),
+        }
+    }
+
+    fn pred(&self, name: &str, args: &[Value]) -> Result<bool, LogicError> {
+        match self {
+            Ops::Equality => NoOps.pred(name, args),
+            Ops::Nat => NatOps.pred(name, args),
+            Ops::Trace => TraceOps.pred(name, args),
+        }
+    }
+}
+
 /// The combined interpretation: scheme relations from the state, scheme
 /// constants from the state, everything else from the domain ops.
 pub struct QueryInterp<'a, D: DomainOps> {
@@ -197,112 +237,72 @@ impl<D: DomainOps> Interpretation for QueryInterp<'_, D> {
     }
 }
 
+/// `query` with every ground term that is not a literal — a scheme
+/// constant, or a function of constants such as `1 + 0` — replaced by
+/// its value under `ops` and the state's constants. A term that fails to
+/// evaluate (an overflow, an unknown function) fails the fold.
+pub fn fold_ground<D: DomainOps>(
+    state: &State,
+    ops: &D,
+    query: &Formula,
+) -> Result<Formula, LogicError> {
+    fold_formula(&QueryInterp::new(state, ops), query)
+}
+
+fn fold_formula<D: DomainOps>(
+    interp: &QueryInterp<'_, D>,
+    f: &Formula,
+) -> Result<Formula, LogicError> {
+    let boxed = |g: &Formula| fold_formula(interp, g).map(Box::new);
+    let all = |gs: &[Formula]| -> Result<Vec<Formula>, LogicError> {
+        gs.iter().map(|g| fold_formula(interp, g)).collect()
+    };
+    let terms = |ts: &[Term]| -> Result<Vec<Term>, LogicError> {
+        ts.iter().map(|t| fold_term(interp, t)).collect()
+    };
+    Ok(match f {
+        Formula::True | Formula::False => f.clone(),
+        Formula::Pred(name, args) => Formula::Pred(name.clone(), terms(args)?),
+        Formula::Eq(a, b) => Formula::Eq(fold_term(interp, a)?, fold_term(interp, b)?),
+        Formula::Not(g) => Formula::Not(boxed(g)?),
+        Formula::And(gs) => Formula::And(all(gs)?),
+        Formula::Or(gs) => Formula::Or(all(gs)?),
+        Formula::Implies(a, b) => Formula::Implies(boxed(a)?, boxed(b)?),
+        Formula::Iff(a, b) => Formula::Iff(boxed(a)?, boxed(b)?),
+        Formula::Exists(v, g) => Formula::Exists(v.clone(), boxed(g)?),
+        Formula::Forall(v, g) => Formula::Forall(v.clone(), boxed(g)?),
+    })
+}
+
+fn fold_term<D: DomainOps>(interp: &QueryInterp<'_, D>, t: &Term) -> Result<Term, LogicError> {
+    Ok(match t {
+        Term::App(..) if t.is_ground() => match eval_term(interp, &Assignment::new(), t)? {
+            Value::Nat(n) => Term::Nat(n),
+            Value::Str(s) => Term::Str(s),
+        },
+        Term::App(name, args) => Term::App(
+            name.clone(),
+            args.iter()
+                .map(|a| fold_term(interp, a))
+                .collect::<Result<_, _>>()?,
+        ),
+        other => other.clone(),
+    })
+}
+
 /// Evaluate a query under active-domain semantics: the answer relation
-/// over the free variables in the given order.
+/// over the free variables in the given order. Ground terms are folded
+/// first ([`fold_ground`]), so their values belong to the universe.
 pub fn eval_query<D: DomainOps>(
     state: &State,
     ops: &D,
     query: &Formula,
     free_vars: &[String],
 ) -> Result<Vec<Tuple>, LogicError> {
-    let universe: Vec<Value> = state.query_active_domain(query).into_iter().collect();
+    let query = fold_ground(state, ops, query)?;
+    let universe: Vec<Value> = state.query_active_domain(&query).into_iter().collect();
     let interp = QueryInterp::new(state, ops);
-    solutions(&interp, &universe, free_vars, query)
-}
-
-/// The word-level interpretation used by the slot evaluator: frames bind
-/// one-word [`Val`]s instead of heap [`Value`]s, scheme-relation
-/// membership is a binary search over the state's columnar store, and
-/// query values absent from the state dictionary (literals, function
-/// results) are interned into a [`SharedOverlay`], so word equality
-/// remains semantic equality across the whole evaluation.
-struct ValInterp<'a, D: DomainOps> {
-    state: &'a State,
-    ops: &'a D,
-    overlay: SharedOverlay<'a>,
-}
-
-impl<D: DomainOps> Interpretation for ValInterp<'_, D> {
-    type Elem = Val;
-
-    fn nat(&self, n: u64) -> Result<Val, LogicError> {
-        Ok(match Val::inline_nat(n) {
-            Some(v) => v,
-            None => self.overlay.encode(&Value::Nat(n)),
-        })
-    }
-
-    fn str_lit(&self, s: &str) -> Result<Val, LogicError> {
-        Ok(self.overlay.encode(&Value::Str(s.to_string())))
-    }
-
-    fn named_const(&self, name: &str) -> Result<Val, LogicError> {
-        let v = self
-            .state
-            .constant(name)
-            .ok_or_else(|| LogicError::eval(format!("scheme constant `{name}` has no value")))?;
-        Ok(self.overlay.encode(v))
-    }
-
-    fn func(&self, name: &str, args: &[Val]) -> Result<Val, LogicError> {
-        let decoded: Vec<Value> = args.iter().map(|&v| self.overlay.decode(v)).collect();
-        let out = self.ops.func(name, &decoded)?;
-        Ok(self.overlay.encode(&out))
-    }
-
-    fn pred(&self, name: &str, args: &[Val]) -> Result<bool, LogicError> {
-        if self.state.schema().arity(name).is_some() {
-            // Overlay words (ids past the base dictionary) are values no
-            // stored tuple contains; `contains_vals` rejects them.
-            return Ok(self.state.contains_vals(name, args));
-        }
-        let decoded: Vec<Value> = args.iter().map(|&v| self.overlay.decode(v)).collect();
-        self.ops.pred(name, &decoded)
-    }
-}
-
-/// Slot-compiled, engine-parallel [`eval_query`]: the formula is
-/// compiled once (variable names → frame slots), frames bind compact
-/// [`Val`] words, and the outermost free variable is fanned out across
-/// the engine's workers. The universe is the active domain encoded in
-/// its semantic (`BTreeSet`) order and `parallel_map` returns chunks in
-/// universe order, so the decoded rows are bit-identical to the
-/// sequential string-env enumeration over [`Value`]s.
-pub fn eval_query_with<D: DomainOps + Sync>(
-    state: &State,
-    ops: &D,
-    query: &Formula,
-    free_vars: &[String],
-    engine: &Engine,
-) -> Result<Vec<Tuple>, LogicError> {
-    let interp = ValInterp {
-        state,
-        ops,
-        overlay: SharedOverlay::new(state.dict()),
-    };
-    let universe: Vec<Val> = state
-        .query_active_domain(query)
-        .iter()
-        .map(|v| interp.overlay.encode(v))
-        .collect();
-    let compiled = compile_slots(query, free_vars);
-    let rows: Vec<Vec<Val>> = if free_vars.is_empty() || universe.len() < 2 || engine.threads() < 2
-    {
-        solutions_slots(&interp, &universe, &compiled)?
-    } else {
-        let chunks: Vec<Result<Vec<Vec<Val>>, LogicError>> = engine.parallel_map(&universe, |e| {
-            solutions_slots_fixed(&interp, &universe, &compiled, std::slice::from_ref(e))
-        });
-        let mut out = Vec::new();
-        for chunk in chunks {
-            out.extend(chunk?);
-        }
-        out
-    };
-    Ok(rows
-        .into_iter()
-        .map(|row| row.iter().map(|&v| interp.overlay.decode(v)).collect())
-        .collect())
+    solutions(&interp, &universe, free_vars, &query)
 }
 
 /// Evaluate a query over an explicitly supplied universe (used by the
@@ -319,15 +319,17 @@ pub fn solutions_over<D: DomainOps>(
     solutions(&interp, universe, free_vars, query)
 }
 
-/// Evaluate a boolean (sentence) query under active-domain semantics.
+/// Evaluate a boolean (sentence) query under active-domain semantics,
+/// over the same universe as [`eval_query`].
 pub fn eval_boolean<D: DomainOps>(
     state: &State,
     ops: &D,
     query: &Formula,
 ) -> Result<bool, LogicError> {
-    let universe: Vec<Value> = state.query_active_domain(query).into_iter().collect();
+    let query = fold_ground(state, ops, query)?;
+    let universe: Vec<Value> = state.query_active_domain(&query).into_iter().collect();
     let interp = QueryInterp::new(state, ops);
-    fq_logic::eval::eval_sentence(&interp, &universe, query)
+    fq_logic::eval::eval_sentence(&interp, &universe, &query)
 }
 
 #[cfg(test)]
@@ -414,24 +416,6 @@ mod tests {
     fn unknown_symbols_error() {
         let q = parse_formula("exists x. Weird(x)").unwrap();
         assert!(eval_boolean(&fathers(), &NoOps, &q).is_err());
-    }
-
-    #[test]
-    fn eval_query_with_matches_string_env_evaluator() {
-        for threads in [1, 4] {
-            let engine = Engine::new(fq_engine::EngineConfig { threads });
-            for (src, vars) in [
-                ("exists y z. y != z & F(x, y) & F(x, z)", vec!["x"]),
-                ("exists y. F(x, y) & F(y, z)", vec!["x", "z"]),
-                ("F(x, y) | F(y, x)", vec!["x", "y"]),
-            ] {
-                let q = parse_formula(src).unwrap();
-                let vars: Vec<String> = vars.into_iter().map(String::from).collect();
-                let naive = eval_query(&fathers(), &NoOps, &q, &vars).unwrap();
-                let fast = eval_query_with(&fathers(), &NoOps, &q, &vars, &engine).unwrap();
-                assert_eq!(naive, fast, "{src} ({threads} threads)");
-            }
-        }
     }
 
     #[test]

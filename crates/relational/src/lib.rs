@@ -13,13 +13,16 @@
 //! * [`translate`] — the Section 1.1 reduction of a query in a fixed
 //!   state to a *pure domain* formula ("we can replace each occurrence of
 //!   `R(x, y)` with `((x=a₁ ∧ y=b₁) ∨ … ∨ (x=a_r ∧ y=b_r))`");
-//! * [`active_eval`] — active-domain evaluation of queries (the semantics
-//!   under which domain-independent queries are answered);
+//! * [`active_eval`] — the domains' operations (`NatOps`, `TraceOps`, …)
+//!   and active-domain evaluation of queries: the reference semantics
+//!   the algebra is tested against, and the relative-safety test's
+//!   evaluator;
 //! * [`safe_range`] — the classic syntactic *safe-range* test, the
 //!   standard effective syntax for domain-independent queries
 //!   (Ullman; Van Gelder & Topor);
 //! * [`algebra`] — a relational algebra with an evaluator, plus the
-//!   compilation of safe-range queries into it (Codd's theorem);
+//!   compilation of every safe-range query into it (Codd's theorem);
+//!   domain atoms such as `x < y` become selections;
 //! * [`ranf`] — the restricted-normal-form split: any *generic* query
 //!   becomes a pair of safe-range queries (generator + restrictor) over
 //!   an extended state, giving exact evaluation plus a per-state
@@ -90,7 +93,7 @@ pub mod translate;
 pub mod val;
 pub mod wal;
 
-pub use active_eval::{eval_query, eval_query_with};
+pub use active_eval::eval_query;
 pub use algebra::{AlgebraExpr, Relation};
 pub use format::{is_snapshot, FORMAT_ID, JSON_FORMAT_ID};
 pub use optimize::{optimize, OptimizedExpr};
@@ -101,5 +104,5 @@ pub use schema::Schema;
 pub use snapshot::{SharedState, Snapshot};
 pub use state::{State, StateBuilder, StateError, Value};
 pub use translate::translate_to_domain_formula;
-pub use val::{ColStats, Dict, OverlayDict, SharedOverlay, SortKeys, VRel, Val};
+pub use val::{ColStats, Dict, OverlayDict, SortKeys, VRel, Val};
 pub use wal::{Durability, Recovery, Wal, WalInfo, WalOptions, DELTA_FORMAT_ID};

@@ -328,6 +328,7 @@ fn relativize(f: &Formula) -> Formula {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::active_eval::Ops;
     use crate::algebra::compile as compile_algebra;
     use crate::safe_range::check_safe_range;
     use fq_logic::parse_formula;
@@ -346,9 +347,10 @@ mod tests {
     }
 
     fn rows(t: &RanfTranslation, f: &Formula, vars: &[&str]) -> Vec<Tuple> {
-        let expr = compile_algebra(t.state.schema(), f).unwrap();
+        let expr = compile_algebra(t.state.schema(), f, Ops::Equality).unwrap();
         let vars: Vec<String> = vars.iter().map(|s| s.to_string()).collect();
         expr.eval(&t.state)
+            .unwrap()
             .reorder(&vars)
             .tuples
             .into_iter()

@@ -38,7 +38,7 @@
 use crate::fx::FxMap;
 use crate::state::{Tuple, Value};
 use std::cmp::Ordering;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// The tag bit: set for dictionary ids, clear for inline naturals.
 const TAG: u64 = 1 << 63;
@@ -576,53 +576,6 @@ impl<'a> OverlayDict<'a> {
     }
 }
 
-/// A thread-safe [`OverlayDict`]: encoding locks, decoding of inline
-/// naturals and base-dictionary ids stays lock-free. Used by the
-/// parallel slot evaluator, whose worker frames all bind words from one
-/// shared id space.
-#[derive(Debug)]
-pub struct SharedOverlay<'a> {
-    base: &'a Dict,
-    inner: Mutex<OverlayDict<'a>>,
-}
-
-impl<'a> SharedOverlay<'a> {
-    pub fn new(base: &'a Dict) -> Self {
-        SharedOverlay {
-            base,
-            inner: Mutex::new(OverlayDict::new(base)),
-        }
-    }
-
-    /// Intern a value (locks only when the base dictionary misses).
-    pub fn encode(&self, v: &Value) -> Val {
-        if let Value::Nat(n) = v {
-            if let Some(val) = Val::inline_nat(*n) {
-                return val;
-            }
-        }
-        if let Some(val) = self.base.lookup(v) {
-            return val;
-        }
-        self.inner.lock().expect("overlay lock").encode(v)
-    }
-
-    /// Decode a word from the combined id space.
-    pub fn decode(&self, v: Val) -> Value {
-        match v.as_inline_nat() {
-            Some(n) => Value::Nat(n),
-            None => {
-                let id = v.id().expect("tagged");
-                if id < self.base.len() {
-                    self.base.decode(v)
-                } else {
-                    self.inner.lock().expect("overlay lock").decode(v)
-                }
-            }
-        }
-    }
-}
-
 /// Per-column statistics of a stored relation, in decoded form so the
 /// optimizer can compare them against plan constants directly.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -1051,23 +1004,6 @@ mod tests {
         assert_eq!(o.decode(extra), Value::Str("extra".into()));
         assert_eq!(o.decode(base_word), Value::Str("base".into()));
         assert_eq!(d.len(), 1, "base untouched");
-    }
-
-    #[test]
-    fn shared_overlay_round_trips() {
-        let mut d = Dict::default();
-        d.encode(&Value::Str("base".into()));
-        let o = SharedOverlay::new(&d);
-        for v in [
-            Value::Nat(3),
-            Value::Nat(u64::MAX),
-            Value::Str("base".into()),
-            Value::Str("fresh".into()),
-        ] {
-            let w = o.encode(&v);
-            assert_eq!(o.encode(&v), w, "canonical");
-            assert_eq!(o.decode(w), v);
-        }
     }
 
     #[test]

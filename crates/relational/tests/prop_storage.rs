@@ -3,7 +3,7 @@
 //! [`Value`] representation — ordering, equality, display, round-trips,
 //! and the on-disk JSON shape of a whole [`State`].
 
-use fq_relational::{Dict, OverlayDict, Schema, SharedOverlay, State, StateBuilder, VRel, Value};
+use fq_relational::{Dict, OverlayDict, Schema, State, StateBuilder, VRel, Value};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -42,7 +42,7 @@ proptest! {
 
     /// Encoding is canonical and lossless through overlays too: the
     /// overlay agrees with the base on interned values and round-trips
-    /// fresh ones, and the thread-safe wrapper behaves identically.
+    /// fresh ones.
     #[test]
     fn overlays_round_trip(
         base_values in proptest::collection::vec(arb_value(), 0..8),
@@ -58,12 +58,6 @@ proptest! {
             let w = overlay.encode(v);
             prop_assert_eq!(overlay.encode(v), w, "interning is canonical");
             prop_assert_eq!(overlay.decode(w), v.clone());
-        }
-        let shared = SharedOverlay::new(&dict);
-        for v in base_values.iter().chain(&extra_values) {
-            let w = shared.encode(v);
-            prop_assert_eq!(shared.encode(v), w);
-            prop_assert_eq!(shared.decode(w), v.clone());
         }
     }
 

@@ -71,7 +71,7 @@ fn main() {
     // carries the compiled algebra expression.
     let (planned, _) = exec.plan(&state, g, DomainId::Eq).unwrap();
     if let QueryPlan::Algebra { expr, .. } = &planned.plan {
-        let rel = expr.eval(&state);
+        let rel = expr.eval(&state).unwrap();
         println!(
             "G compiled to algebra: attrs {:?}, {} tuples",
             rel.attrs,

@@ -41,8 +41,8 @@ fn main() {
     let exec = Executor::default();
 
     // Which logged strings are traces of the scanner in word "11"? The
-    // planner routes the safe-range query to active-domain evaluation
-    // with the trace-domain operations interpreted.
+    // safe-range query compiles to algebra: a scan of `Log` and a
+    // selection that evaluates `P` with the trace-domain operations.
     let enc = encode_machine(&scanner);
     let q = format!("Log(p) & P(\"{enc}\", \"11\", p)");
     let out = exec.execute(&state, &q, DomainId::Traces).unwrap();

@@ -150,7 +150,7 @@ fn plan_prints_a_strategy_per_route() {
     let state = repo_fathers_json();
     for (query, domain, strategy) in [
         ("exists y. F(x, y) & F(y, z)", "eq", "algebra"),
-        ("F(x, y) & x < y", "nat", "active-domain"),
+        ("F(x, y) & x < y", "nat", "algebra"),
         ("!F(x, y)", "nat", "ranf"),
         ("!F(x, y) & x < y", "nat", "enumerate-and-ask"),
         ("exists x y. F(x, y)", "nat", "qe-decide"),

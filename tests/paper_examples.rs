@@ -101,7 +101,7 @@ fn codd_compilation_agrees_with_enumeration() {
     // The planner compiles the safe-range query to algebra…
     let (planned, _) = exec.plan(&state, q, DomainId::Eq).unwrap();
     let algebra_rows = match &planned.plan {
-        QueryPlan::Algebra { expr, .. } => expr.eval(&state).tuples.len(),
+        QueryPlan::Algebra { expr, .. } => expr.eval(&state).unwrap().tuples.len(),
         other => panic!("expected an algebra plan, got {}", other.strategy()),
     };
     // …and executing the plan gives the same answer count.
